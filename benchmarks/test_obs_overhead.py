@@ -8,16 +8,17 @@ same instruction stream as uninstrumented code (parity is asserted in
 per-inference latency histogram, spans around the run and extraction —
 must stay within 5 % of the uninstrumented attack.
 
+The two variants run in interleaved rounds and the gate is the median of
+the per-round ratios (``conftest.paired_overhead``), so drift in host
+speed between two separately timed batches cannot fail it.
+
 Emits ``BENCH_obs.json``: the final observed run's own manifest plus
 the headline overhead numbers as gauges.
 """
 
-import statistics
-import time
-
 import pytest
 
-from conftest import run_once, write_bench_manifest
+from conftest import paired_overhead, run_once, write_bench_manifest
 from repro.core.model_store import ModelStore
 from repro.core.pipeline import EavesdropAttack, simulate_credential_entry, train_model
 from repro.obs import MetricsRegistry
@@ -25,7 +26,6 @@ from repro.obs import MetricsRegistry
 pytestmark = pytest.mark.bench
 
 CREDENTIAL = "hunter2pw"
-ROUNDS = 7
 
 
 @pytest.fixture(scope="module")
@@ -40,35 +40,34 @@ def trace(config, chase):
     return simulate_credential_entry(config, chase, CREDENTIAL, seed=1)
 
 
-def median_runtime(store, trace, registry_factory):
-    times, registry = [], None
-    for _ in range(ROUNDS):
-        registry = registry_factory()
-        attack = EavesdropAttack(
-            store, recognize_device=False, fault_plan=None, metrics=registry
-        )
-        started = time.perf_counter()
-        attack.run_on_trace(trace, seed=101)
-        times.append(time.perf_counter() - started)
-    return statistics.median(times), registry
+def runner(store, trace, metrics=None):
+    attack = EavesdropAttack(
+        store, recognize_device=False, fault_plan=None, metrics=metrics
+    )
+    return lambda: attack.run_on_trace(trace, seed=101)
 
 
 def test_enabled_registry_adds_under_5_percent(benchmark, store, trace):
-    baseline, _ = median_runtime(store, trace, lambda: None)
-    observed, registry = run_once(
-        benchmark, lambda: median_runtime(store, trace, MetricsRegistry)
+    timing = run_once(
+        benchmark,
+        lambda: paired_overhead(
+            runner(store, trace), runner(store, trace, MetricsRegistry())
+        ),
     )
-    overhead = observed / baseline - 1.0
+    # one more observed run into a fresh registry, for its own manifest
+    registry = MetricsRegistry()
+    runner(store, trace, registry)()
     print(
-        f"\nobs registry on: baseline {baseline * 1e3:.1f} ms, "
-        f"observed {observed * 1e3:.1f} ms ({overhead:+.1%})"
+        f"\nobs registry on: baseline {timing.baseline_s * 1e3:.1f} ms, "
+        f"observed {timing.candidate_s * 1e3:.1f} ms "
+        f"(paired median {timing.overhead:+.1%})"
     )
     print(f"  counters collected : {len(registry.snapshot()['counters'])}")
     print(f"  latency samples    : {registry.histogram('engine.inference_latency_s').count}")
 
-    registry.gauge("bench.baseline_s").set(baseline)
-    registry.gauge("bench.observed_s").set(observed)
-    registry.gauge("bench.overhead_frac").set(overhead)
-    write_bench_manifest("obs", registry, rounds=ROUNDS)
+    registry.gauge("bench.baseline_s").set(timing.baseline_s)
+    registry.gauge("bench.observed_s").set(timing.candidate_s)
+    registry.gauge("bench.overhead_frac").set(timing.overhead)
+    write_bench_manifest("obs", registry)
 
-    assert overhead < 0.05, "an enabled metrics registry must stay within 5% of baseline"
+    assert timing.overhead < 0.05, "an enabled metrics registry must stay within 5% of baseline"

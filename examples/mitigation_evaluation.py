@@ -15,14 +15,12 @@ Usage:
 """
 
 from repro.api import (
-    CHASE,
-    PNC,
-    CounterObfuscationPolicy,
-    LocalOnlyPolicy,
-    RbacPolicy,
+    MetricsRegistry,
     align,
+    app,
     config_with_popups_disabled,
     default_config,
+    mitigation,
     simulate_credential_entry,
     single_model_attack,
 )
@@ -35,21 +33,33 @@ def score(truth: str, inferred: str) -> str:
     return f"{alignment.correct}/{len(truth)} chars ({inferred!r})"
 
 
+def defended(config, target, trace, policy: str):
+    """Attack ``trace`` with the named mitigation policy enforced at the
+    KGSL device file; returns the result and its EACCES denial count."""
+    metrics = MetricsRegistry()
+    attack = single_model_attack(
+        config, target, mitigation=mitigation(policy), metrics=metrics
+    )
+    result = attack.run_on_trace(trace, seed=90)
+    return result, int(metrics.counter("mitigation.denials").value)
+
+
 def main() -> None:
     config = default_config()
+    chase = app("chase")
 
     print(f"credential under attack: {CREDENTIAL!r}\n")
 
     # --- baseline -------------------------------------------------------
-    attack = single_model_attack(config, CHASE)
-    trace = simulate_credential_entry(config, CHASE, CREDENTIAL, seed=9)
+    attack = single_model_attack(config, chase)
+    trace = simulate_credential_entry(config, chase, CREDENTIAL, seed=9)
     baseline = attack.run_on_trace(trace, seed=90)
     print(f"no defence            : {score(CREDENTIAL, baseline.text)}")
 
     # --- popups disabled --------------------------------------------------
     nopopup_config = config_with_popups_disabled(config)
-    nopopup_attack = single_model_attack(nopopup_config, CHASE)
-    nopopup_trace = simulate_credential_entry(nopopup_config, CHASE, CREDENTIAL, seed=9)
+    nopopup_attack = single_model_attack(nopopup_config, chase)
+    nopopup_trace = simulate_credential_entry(nopopup_config, chase, CREDENTIAL, seed=9)
     nopopup = nopopup_attack.run_on_trace(nopopup_trace, seed=90)
     leak = len(nopopup.text) + nopopup.online.stats.unattributed_growth
     print(
@@ -60,27 +70,24 @@ def main() -> None:
     # --- RBAC / SELinux whitelist ---------------------------------------
     # EACCES permanently masks every counter: the attacking app survives
     # but samples nothing (see docs/defenses.md)
-    rbac_policy = RbacPolicy()
-    rbac = attack.run_on_trace(trace, seed=90, access_policy=rbac_policy)
+    rbac, denials = defended(config, chase, trace, "rbac")
     print(
         f"RBAC whitelist        : {score(CREDENTIAL, rbac.text)} "
-        f"— blinded at ioctl ({rbac_policy.denials} EACCES denials)"
+        f"— blinded at ioctl ({denials} EACCES denials)"
     )
 
     # --- local-only counters ---------------------------------------------
-    local = attack.run_on_trace(trace, seed=90, access_policy=LocalOnlyPolicy())
+    local, _ = defended(config, chase, trace, "local-only")
     print(f"local-only counters   : {score(CREDENTIAL, local.text)} — attacker sees no activity")
 
     # --- login animation (PNC) -------------------------------------------
-    pnc_attack = single_model_attack(config, PNC)
-    pnc_trace = simulate_credential_entry(config, PNC, CREDENTIAL, seed=9)
+    pnc_attack = single_model_attack(config, app("pnc"))
+    pnc_trace = simulate_credential_entry(config, app("pnc"), CREDENTIAL, seed=9)
     pnc = pnc_attack.run_on_trace(pnc_trace, seed=90)
     print(f"login animation (PNC) : {score(CREDENTIAL, pnc.text)} — paper measured ~30%")
 
     # --- driver value obfuscation ----------------------------------------
-    fuzzed = attack.run_on_trace(
-        trace, seed=90, access_policy=CounterObfuscationPolicy(strength=3.0)
-    )
+    fuzzed, _ = defended(config, chase, trace, "obfuscate-strong")
     print(f"value obfuscation     : {score(CREDENTIAL, fuzzed.text)}")
 
     print(

@@ -33,17 +33,11 @@ field, the result protocol, and the ``workers=`` semantics — lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import faults
-from repro.faults import FAULT_PROFILE_ENV, FaultInjector, FaultPlan, FaultStats
-from repro.android.apps import (
-    APP_REGISTRY,
-    TARGET_APPS,
-    AppSpec,
-    app,
-    register_app,
-)
+from repro.faults import FAULT_PROFILE_ENV, FaultPlan
+from repro.android.apps import APP_REGISTRY, AppSpec, app
 from repro.android.device import SessionTrace, VictimDevice
 from repro.android.events import BackspacePress, KeyPress
 from repro.android.keyboard import (
@@ -54,14 +48,10 @@ from repro.android.keyboard import (
     register_keyboard,
 )
 from repro.android.os_config import (
-    ANDROID_VERSIONS,
-    PHONE_MODELS,
     PHONE_REGISTRY,
     DeviceConfig,
-    PhoneModel,
     default_config,
     phone,
-    register_phone,
 )
 from repro.analysis.experiments import (
     cached_model,
@@ -75,26 +65,17 @@ from repro.analysis.traces import TraceSummary, annotate, render_trace
 from repro.collector import (
     CollectorClient,
     CollectorConfig,
-    CollectorHandle,
-    CollectorServer,
     CollectorTier,
-    DeviceRouter,
     FleetDriver,
     FleetReport,
     KillDrill,
     RetryPolicy,
     SessionResultPayload,
 )
-from repro.core import features
-from repro.core.classifier import Classification, ClassificationModel, build_model
 from repro.core.guessing import CandidateGenerator
-from repro.core.launch import IDLE_POLL_INTERVAL_S, LaunchDetector
-from repro.core.model_store import (
-    ModelIntegrityError,
-    ModelStore,
-    VersionedModelStore,
-)
-from repro.core.online import EngineStats, InferredKey, OnlineEngine, OnlineResult
+from repro.core.launch import IDLE_POLL_INTERVAL_S
+from repro.core.model_store import ModelStore
+from repro.core.online import OnlineResult
 from repro.core.pipeline import (
     ATTACK_SOURCE_CHUNK,
     AttackResult,
@@ -102,21 +83,10 @@ from repro.core.pipeline import (
     SessionBatch,
     simulate_credential_entry,
 )
-from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    RunManifest,
-    Span,
-    SpanStats,
-    new_latency_histogram,
-)
+from repro.obs import MetricsRegistry
 from repro.core.pipeline import run_sessions as _pipeline_run_sessions
 from repro.core.pipeline import train_model, train_store
-from repro.parallel import ShardPlan, ShardedRuntime
+from repro.parallel import ShardedRuntime
 from repro.core.results import SessionResult
 from repro.core.service import MonitoringService, ServiceReport
 from repro.gpu import counters
@@ -124,24 +94,14 @@ from repro.kgsl.device_file import DeviceClock, ProcessContext, open_kgsl
 from repro.kgsl.ioctl import IoctlError
 from repro.kgsl.sampler import DEFAULT_INTERVAL_S, PerfCounterSampler, SystemLoad
 from repro.lifecycle import (
-    CALIBRATION_ENV,
     CALIBRATION_PROFILES,
-    DRIFT_PROFILE_ENV,
     DRIFT_PROFILES,
     CalibrationPolicy,
-    CalibrationService,
-    DriftInjector,
     DriftPlan,
-    DriftStats,
-    LifecycleReport,
-    SegmentReport,
-    drift_plan_from_env,
     resolve_calibration,
     resolve_drift_plan,
     run_lifecycle,
 )
-from repro.mitigations.access_control import LocalOnlyPolicy, RbacPolicy
-from repro.mitigations.obfuscation import CounterObfuscationPolicy
 from repro.mitigations.policy import (
     MITIGATION_ENV,
     MITIGATION_REGISTRY,
@@ -153,22 +113,11 @@ from repro.mitigations.policy import (
     register_mitigation,
 )
 from repro.mitigations.popup_disable import config_with_popups_disabled
-from repro.analysis.defense import DefenseCell, format_defense_matrix, run_defense_matrix
-from repro.registry import Registry, UnknownNameError
-from repro.runtime import RuntimeEvent, RuntimeTrace
-from repro.scenarios import (
-    SCENARIO_REGISTRY,
-    Scenario,
-    register_scenario,
-    scenario,
-    scenario_names,
-)
-from repro.workloads.credentials import (
-    character_group,
-    credential_batch,
-    pool_for_scenario,
-    scenario_credential,
-)
+from repro.analysis.defense import format_defense_matrix, run_defense_matrix
+from repro.registry import UnknownNameError
+from repro.runtime import RuntimeTrace
+from repro.scenarios import SCENARIO_REGISTRY, Scenario, register_scenario, scenario
+from repro.workloads.credentials import character_group, credential_batch
 
 #: Collision-safe alias: facade internals use this so a ``scenario=``
 #: keyword or field never shadows the lookup function.
@@ -176,47 +125,6 @@ scenario_lookup = scenario
 
 #: Same trick for the ``mitigation=`` config field vs. the lookup.
 mitigation_lookup = mitigation
-
-#: Deprecated spec-constant re-exports → the module that still serves
-#: them (lazily, through its own ``__getattr__`` choke point).
-_DEPRECATED_FORWARDS = {
-    name: "repro.android.apps"
-    for name in (
-        "AMEX",
-        "CHASE",
-        "CHASE_WEB",
-        "EXPERIAN",
-        "EXPERIAN_WEB",
-        "FIDELITY",
-        "MYFICO",
-        "NATIVE_APPS",
-        "PNC",
-        "SCHWAB",
-        "SCHWAB_WEB",
-    )
-}
-_DEPRECATED_FORWARDS.update(
-    {
-        name: "repro.android.keyboard"
-        for name in (
-            "GBOARD",
-            "SWIFTKEY",
-            "SOGOU",
-            "GOOGLE_PINYIN",
-            "GO_KEYBOARD",
-            "GRAMMARLY",
-        )
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_FORWARDS:
-        import importlib
-
-        module = importlib.import_module(_DEPRECATED_FORWARDS[name])
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     # facade
@@ -232,53 +140,21 @@ __all__ = [
     "AttackResult",
     "OnlineResult",
     "ServiceReport",
-    "InferredKey",
-    "EngineStats",
     # faults
     "FaultPlan",
-    "FaultStats",
-    "FaultInjector",
     "FAULT_PROFILE_ENV",
-    "faults",
     # engine / model
-    "EavesdropAttack",
-    "MonitoringService",
-    "OnlineEngine",
-    "Classification",
-    "ClassificationModel",
-    "build_model",
     "ModelStore",
-    "VersionedModelStore",
-    "ModelIntegrityError",
     "CandidateGenerator",
-    "LaunchDetector",
     "train_model",
-    "train_store",
     "simulate_credential_entry",
     # device registry
     "AppSpec",
     "app",
-    "register_app",
     "APP_REGISTRY",
-    "TARGET_APPS",
-    "NATIVE_APPS",
-    "AMEX",
-    "CHASE",
-    "CHASE_WEB",
-    "EXPERIAN",
-    "EXPERIAN_WEB",
-    "FIDELITY",
-    "MYFICO",
-    "PNC",
-    "SCHWAB",
-    "SCHWAB_WEB",
     "DeviceConfig",
-    "PhoneModel",
     "phone",
-    "register_phone",
     "PHONE_REGISTRY",
-    "PHONE_MODELS",
-    "ANDROID_VERSIONS",
     "KeyboardSpec",
     "keyboard",
     "register_keyboard",
@@ -288,10 +164,8 @@ __all__ = [
     # scenarios
     "Scenario",
     "scenario",
-    "scenario_names",
     "register_scenario",
     "SCENARIO_REGISTRY",
-    "Registry",
     "UnknownNameError",
     # victim-side simulation
     "SessionTrace",
@@ -305,9 +179,6 @@ __all__ = [
     "PerfCounterSampler",
     "SystemLoad",
     "IoctlError",
-    "DEFAULT_INTERVAL_S",
-    "IDLE_POLL_INTERVAL_S",
-    "ATTACK_SOURCE_CHUNK",
     # analysis helpers
     "AccuracyReport",
     "align",
@@ -321,43 +192,22 @@ __all__ = [
     "annotate",
     "render_trace",
     # parallel execution
-    "ShardPlan",
-    "ShardedRuntime",
     # fleet collection
-    "FleetDriver",
     "FleetReport",
     "KillDrill",
     "CollectorTier",
-    "DeviceRouter",
-    "CollectorServer",
-    "CollectorHandle",
     "CollectorClient",
     "CollectorConfig",
     "RetryPolicy",
     "SessionResultPayload",
     # runtime observability
     "RuntimeTrace",
-    "RuntimeEvent",
     # metrics / manifests
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "RunManifest",
     "SessionBatch",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Span",
-    "SpanStats",
-    "new_latency_histogram",
     # workloads / mitigations
     "credential_batch",
     "character_group",
-    "pool_for_scenario",
-    "scenario_credential",
-    "RbacPolicy",
-    "LocalOnlyPolicy",
-    "CounterObfuscationPolicy",
     "config_with_popups_disabled",
     "MitigationPolicy",
     "PolicyEnforcer",
@@ -367,27 +217,15 @@ __all__ = [
     "mitigation",
     "mitigation_names",
     "register_mitigation",
-    "DefenseCell",
     "run_defense_matrix",
     "format_defense_matrix",
-    # signature lifecycle (drift / recalibration / versioned models)
+    # signature lifecycle (drift / recalibration)
     "DriftPlan",
-    "DriftStats",
-    "DriftInjector",
-    "DRIFT_PROFILE_ENV",
     "DRIFT_PROFILES",
-    "drift_plan_from_env",
-    "resolve_drift_plan",
     "CalibrationPolicy",
-    "CalibrationService",
-    "CALIBRATION_ENV",
     "CALIBRATION_PROFILES",
-    "resolve_calibration",
     "run_lifecycle",
-    "LifecycleReport",
-    "SegmentReport",
     # modules
-    "features",
     "counters",
 ]
 
@@ -463,6 +301,8 @@ class AttackConfig:
             )
             scenario_lookup(name)
             object.__setattr__(self, "scenario", name)
+        if isinstance(self.fault_plan, str) and self.fault_plan != "auto":
+            FaultPlan.from_profile(self.fault_plan)
         if isinstance(self.mitigation, str) and self.mitigation != "auto":
             # resolve now so a typo'd policy name fails at construction
             mitigation_lookup(self.mitigation)
@@ -690,7 +530,6 @@ def attack(
     seed: int = 99,
     config: Optional[AttackConfig] = None,
     model_key: Optional[str] = None,
-    access_policy=None,
     runtime_trace: Optional[RuntimeTrace] = None,
     metrics: Optional[MetricsRegistry] = None,
 ) -> AttackResult:
@@ -698,7 +537,7 @@ def attack(
 
     Pass a :class:`MetricsRegistry` as ``metrics`` to collect sampler,
     engine, and scheduler instrumentation for the run; the resulting
-    :class:`RunManifest` is attached as ``result.manifest``.
+    :class:`~repro.obs.RunManifest` is attached as ``result.manifest``.
     """
     config = config if config is not None else _DEFAULT_CONFIG
     result = _attacker(store, config, metrics=metrics).run_on_trace(
@@ -706,7 +545,6 @@ def attack(
         load=config.load,
         seed=seed,
         model_key=model_key,
-        access_policy=access_policy,
         runtime_trace=runtime_trace,
     )
     _attach_manifest(result, metrics, config, command="attack", sessions=1)
@@ -726,7 +564,7 @@ def run_sessions(
 
     Returns a :class:`SessionBatch` — a list of :class:`AttackResult`
     whose ``manifest`` attribute carries the batch-level
-    :class:`RunManifest` when ``metrics`` is an enabled registry.
+    :class:`~repro.obs.RunManifest` when ``metrics`` is an enabled registry.
 
     ``workers=N`` (N > 1) shards the batch across N worker processes
     via :class:`~repro.parallel.ShardedRuntime`.  Session ``i`` is
@@ -832,26 +670,20 @@ def run_fleet(
     metrics: Optional[MetricsRegistry] = None,
     device_threads: Optional[int] = None,
     drill: Optional[KillDrill] = None,
-    transport: Optional[str] = None,
-    unix_path: Optional[str] = None,
-    queue_size: Optional[int] = None,
-    retry: Optional[RetryPolicy] = None,
 ) -> FleetReport:
     """Run ``devices`` simulated victims streaming into one collector.
 
     Each device runs a full attack pass (``sessions_per_device``
     sessions, seeded from its device index; ``workers=N`` shards the
     per-device batch across processes) and reports every result to an
-    in-process :class:`CollectorServer` over TCP or a unix socket, with
+    in-process :class:`~repro.collector.CollectorServer` over TCP or a unix socket, with
     retry-until-acked delivery and seq-number deduplication.  The
     config's fault plan injects both KGSL-layer faults inside each
     device and connection drops / slow reads on the uplink.
 
     ``collector`` is the tier's :class:`CollectorConfig` — transport,
     wire codec (``auto``/``binary``/``json``), backpressure bound,
-    retry schedule.  The old ``transport=``/``unix_path=``/
-    ``queue_size=``/``retry=`` keywords still work through a
-    deprecation shim.  ``collector.shards > 1`` scales the tier to N
+    retry schedule.  ``collector.shards > 1`` scales the tier to N
     collector *processes* behind the deterministic
     :class:`~repro.collector.router.DeviceRouter`, each with a
     write-ahead journal (``collector.journal_dir``; a scratch
@@ -886,22 +718,6 @@ def run_fleet(
         target = scn.app_spec()
     if not credential:
         raise ValueError("run_fleet() needs a non-empty credential")
-    legacy = {
-        key: value
-        for key, value in (
-            ("transport", transport),
-            ("unix_path", unix_path),
-            ("queue_size", queue_size),
-            ("retry", retry),
-        )
-        if value is not None
-    }
-    if legacy:
-        from repro.collector.config import shim_legacy_kwargs
-        from repro.collector.fleet import _LEGACY_FLEET_KWARGS, FLEET_RETRY
-
-        base = collector if collector is not None else CollectorConfig(retry=FLEET_RETRY)
-        collector = shim_legacy_kwargs(base, legacy, "run_fleet", _LEGACY_FLEET_KWARGS)
     driver = FleetDriver(
         store,
         device_config,

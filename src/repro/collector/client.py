@@ -48,7 +48,7 @@ import numpy as np
 
 from repro import faults
 from repro.faults import FaultPlan
-from repro.collector.config import CollectorConfig, RetryPolicy, shim_legacy_kwargs
+from repro.collector.config import CollectorConfig, RetryPolicy
 from repro.collector.frames import (
     Ack,
     Bye,
@@ -130,13 +130,6 @@ class NetworkFaultInjector:
         return 0.0
 
 
-#: Legacy per-call keywords → the CollectorConfig field each one sets.
-_LEGACY_CLIENT_KWARGS = {
-    "retry": "retry",
-    "timeout_s": "timeout_s",
-}
-
-
 class CollectorClient:
     """One device's reliable stream of results into a collector.
 
@@ -150,8 +143,7 @@ class CollectorClient:
             plan turns on :class:`NetworkFaultInjector`.
         config: the :class:`~repro.collector.config.CollectorConfig`
             supplying the wire codec, retry schedule and socket
-            timeout (the old ``retry=`` / ``timeout_s=`` keywords keep
-            working through a deprecation shim).
+            timeout.
         sleep: injectable sleeper (tests pass a no-op to make backoff
             schedules instantaneous).
     """
@@ -164,14 +156,11 @@ class CollectorClient:
         config: Optional[CollectorConfig] = None,
         seed_offset: int = 0,
         sleep: Callable[[float], None] = time.sleep,
-        **legacy,
     ) -> None:
         kind = endpoint[0]
         if kind not in ("tcp", "unix"):
             raise ValueError(f"unknown endpoint kind {kind!r}")
-        config = shim_legacy_kwargs(
-            config, legacy, "CollectorClient", _LEGACY_CLIENT_KWARGS
-        )
+        config = config if config is not None else CollectorConfig()
         self.endpoint = tuple(endpoint)
         self.device_id = device_id
         self.config = config

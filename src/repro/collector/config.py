@@ -11,10 +11,6 @@ threading a new knob meant touching all four signatures.
 mirroring :class:`~repro.api.AttackConfig`: construct it once, pass it
 everywhere, round-trip it through :meth:`to_dict` / :meth:`from_dict`
 (manifests embed it the same way they embed the attack config).
-
-The old per-call keywords still work through a one-release deprecation
-shim (:func:`repro.core.results.warn_deprecated`), so existing callers
-keep running while they migrate.
 """
 
 from __future__ import annotations
@@ -173,7 +169,7 @@ class CollectorConfig:
             )
 
     def with_overrides(self, **overrides) -> "CollectorConfig":
-        """A copy with ``overrides`` applied (the deprecation-shim seam)."""
+        """A copy with ``overrides`` applied (``self`` when there are none)."""
         return replace(self, **overrides) if overrides else self
 
     # -- serialization --------------------------------------------------
@@ -199,33 +195,3 @@ class CollectorConfig:
             kwargs["retry"] = RetryPolicy.from_dict(retry)
         return cls(**kwargs)  # type: ignore[arg-type]
 
-
-def shim_legacy_kwargs(
-    config: Optional[CollectorConfig],
-    legacy: Dict[str, object],
-    owner: str,
-    allowed: Mapping[str, str],
-) -> CollectorConfig:
-    """Fold deprecated per-call keywords into a :class:`CollectorConfig`.
-
-    ``allowed`` maps each legacy keyword to the config field it sets.
-    Every legacy keyword actually passed emits the one-release
-    :func:`~repro.core.results.warn_deprecated` warning; anything else
-    is a :class:`TypeError`, exactly as an unknown keyword would be.
-    """
-    from repro.core.results import warn_deprecated
-
-    unknown = set(legacy) - set(allowed)
-    if unknown:
-        raise TypeError(
-            f"{owner}() got unexpected keyword arguments: {sorted(unknown)}"
-        )
-    overrides = {}
-    for key, value in legacy.items():
-        field_name = allowed[key]
-        warn_deprecated(
-            f"{owner}({key}=...)",
-            f"{owner}(config=CollectorConfig({field_name}=...))",
-        )
-        overrides[field_name] = value
-    return (config or CollectorConfig()).with_overrides(**overrides)

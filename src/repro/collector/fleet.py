@@ -47,7 +47,7 @@ from repro.collector.client import (
     CollectorClient,
     CollectorClientError,
 )
-from repro.collector.config import CollectorConfig, RetryPolicy, shim_legacy_kwargs
+from repro.collector.config import CollectorConfig, RetryPolicy
 from repro.collector.framing import SessionResultPayload
 from repro.collector.journal import count_journal_records
 from repro.collector.router import CollectorTier
@@ -68,16 +68,6 @@ DRILL_RETRY = RetryPolicy(max_attempts=16, base_delay_s=0.02, max_delay_s=0.5)
 
 #: How long the driver waits for the drill thread after devices finish.
 SHARD_JOIN_TIMEOUT_S = 60.0
-
-#: Legacy per-call keywords → the CollectorConfig field each one sets.
-_LEGACY_FLEET_KWARGS = {
-    "transport": "transport",
-    "unix_path": "unix_path",
-    "queue_size": "queue_size",
-    "read_timeout_s": "read_timeout_s",
-    "retry": "retry",
-}
-
 
 def trace_counter_deltas(trace) -> Tuple[int, ...]:
     """The session's cumulative counter values in Table-1 order.
@@ -176,9 +166,7 @@ class FleetDriver:
         workers: per-device ``run_sessions`` workers (processes).
         collector: the :class:`~repro.collector.config.CollectorConfig`
             for the whole tier — transport, wire codec, backpressure
-            bound, retry schedule.  The old per-call keywords
-            (``transport=``, ``queue_size=``, ``retry=``, ...) keep
-            working through a deprecation shim.
+            bound, retry schedule.
         metrics: optional caller registry; when enabled, each device
             also records a device-side registry, ships its snapshot, and
             the merged collector registry is folded back into ``metrics``.
@@ -202,7 +190,6 @@ class FleetDriver:
         metrics: Optional[MetricsRegistry] = None,
         device_threads: Optional[int] = None,
         drill: Optional[KillDrill] = None,
-        **legacy,
     ) -> None:
         if devices < 1:
             raise ValueError("devices must be >= 1")
@@ -214,9 +201,6 @@ class FleetDriver:
             config = AttackConfig()
         if collector is None:
             collector = CollectorConfig(retry=FLEET_RETRY)
-        collector = shim_legacy_kwargs(
-            collector, legacy, "FleetDriver", _LEGACY_FLEET_KWARGS
-        )
         if drill is not None:
             if collector.shards < 2:
                 raise ValueError("a kill drill requires collector.shards >= 2")

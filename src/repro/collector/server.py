@@ -65,7 +65,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.collector.config import CollectorConfig, shim_legacy_kwargs
+from repro.collector.config import CollectorConfig
 from repro.collector.frames import (
     Ack,
     Batch,
@@ -101,27 +101,12 @@ from repro.obs import MetricsRegistry, RunManifest
 #: Endpoint tuples: ``("tcp", host, port)`` or ``("unix", path)``.
 Endpoint = Tuple
 
-#: Legacy per-call keywords → the CollectorConfig field each one sets.
-_LEGACY_SERVER_KWARGS = {
-    "transport": "transport",
-    "host": "host",
-    "port": "port",
-    "unix_path": "unix_path",
-    "queue_size": "queue_size",
-    "read_timeout_s": "read_timeout_s",
-    "drain_timeout_s": "drain_timeout_s",
-    "max_frame_bytes": "max_frame_bytes",
-}
-
-
 class CollectorServer:
     """Bounded-queue frame ingestion over TCP or a unix socket.
 
     Args:
         config: the :class:`~repro.collector.config.CollectorConfig`
-            holding every transport/codec/backpressure knob.  The old
-            per-call keywords (``transport=``, ``queue_size=``, ...)
-            still work through a deprecation shim.
+            holding every transport/codec/backpressure knob.
         metrics: the registry aggregation lands in; defaults to a fresh
             enabled :class:`MetricsRegistry` (the collector always
             counts — its report *is* the product).
@@ -144,11 +129,8 @@ class CollectorServer:
         keep_results: bool = True,
         on_result=None,
         shard_index: int = 0,
-        **legacy,
     ) -> None:
-        config = shim_legacy_kwargs(
-            config, legacy, "CollectorServer", _LEGACY_SERVER_KWARGS
-        )
+        config = config if config is not None else CollectorConfig()
         self.config = config
         self.transport = config.transport
         self.host = config.host

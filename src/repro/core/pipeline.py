@@ -35,7 +35,6 @@ from repro.core.device_recognition import DeviceRecognizer, RecognitionResult
 from repro.core.model_store import ModelStore
 from repro.core.offline import OfflineTrainer
 from repro.core.online import InferredKey, OnlineEngine, OnlineResult
-from repro.core.results import warn_deprecated
 from repro.core.classifier import ClassificationModel
 from repro.kgsl.device_file import DeviceClock, KgslDeviceFile, ProcessContext, open_kgsl
 from repro.lifecycle.calibration import (
@@ -163,17 +162,6 @@ class AttackResult:
         """The per-inference classifier-latency histogram (Fig 25)."""
         return self.online.latency
 
-    @property
-    def inference_times_s(self) -> List[float]:
-        """Deprecated raw latency list; use :attr:`latency` (one-release shim)."""
-        warn_deprecated("AttackResult.inference_times_s", "AttackResult.latency")
-        return list(self.online.latency.samples or ())
-
-    @property
-    def samples_taken(self) -> int:
-        """Deprecated alias of :attr:`reads_issued` (one-release shim)."""
-        warn_deprecated("AttackResult.samples_taken", "AttackResult.reads_issued")
-        return self.reads_issued
 
 
 class AttackStage:
@@ -330,7 +318,7 @@ class AttackStage:
         injector = self.sampler.fault_injector
         self.sampler.flush_metrics(self.metrics)
         policy = self.kgsl.access_policy
-        if policy is not None and hasattr(policy, "flush_metrics"):
+        if policy is not None:
             policy.flush_metrics(self.metrics)
         if self.metrics.enabled and injector is not None:
             for name, value in injector.stats.as_dict().items():
@@ -419,7 +407,6 @@ class EavesdropAttack:
         load: SystemLoad = IDLE,
         seed: int = 99,
         model_key: Optional[str] = None,
-        access_policy=None,
         chunk: int = ATTACK_SOURCE_CHUNK,
     ) -> Tuple[SamplerDeltaSource, List[AttackStage]]:
         """Build the (source, stages) pair for one attack-mode session.
@@ -435,8 +422,6 @@ class EavesdropAttack:
             if self.fault_plan is not None
             else None
         )
-        if access_policy is None and self.mitigation is not None:
-            access_policy = self.mitigation.enforcer(seed=seed)
         drift_injector = (
             self.drift_plan.injector(seed_offset=seed)
             if self.drift_plan is not None
@@ -446,7 +431,11 @@ class EavesdropAttack:
             trace.timeline,
             clock=DeviceClock(),
             context=ProcessContext(),
-            access_policy=access_policy,
+            access_policy=(
+                self.mitigation.enforcer(seed=seed)
+                if self.mitigation is not None
+                else None
+            ),
             adreno_model=trace.config.gpu.model,
             fault_injector=injector,
             drift_injector=drift_injector,
@@ -467,7 +456,6 @@ class EavesdropAttack:
         load: SystemLoad = IDLE,
         seed: int = 99,
         model_key: Optional[str] = None,
-        access_policy=None,
         runtime_trace: Optional[RuntimeTrace] = None,
     ) -> AttackResult:
         """Sample the victim timeline and infer the typed credential.
@@ -477,12 +465,11 @@ class EavesdropAttack:
             load: concurrent CPU/GPU utilization (Section 7.3).
             seed: RNG seed for the sampler's scheduling jitter.
             model_key: skip recognition and force a specific model.
-            access_policy: optional mitigation enforced at the device file.
             runtime_trace: optional shared event log to record decisions in.
         """
         runtime = SessionRuntime(trace=runtime_trace, metrics=self.metrics)
         source, stages = self.session_spec(
-            trace, load=load, seed=seed, model_key=model_key, access_policy=access_policy
+            trace, load=load, seed=seed, model_key=model_key
         )
         session = runtime.add_session(Session("attack", source, stages))
         runtime.run()

@@ -10,8 +10,8 @@ semantics the attack relies on:
   (the "notify the GPU hardware to prepare the I/O" step of Fig 10);
 * ``PERFCOUNTER_READ`` blockreads the *global* cumulative counter values,
   regardless of which process caused the GPU work;
-* an :class:`~repro.mitigations.access_control.AccessPolicy` hook can
-  deny either request, modeling the paper's RBAC / SELinux mitigation
+* a :class:`~repro.mitigations.policy.PolicyEnforcer` hook can deny
+  either request, modeling the paper's RBAC / SELinux mitigation
   (Section 9.2), or perturb returned values, modeling obfuscation
   (Section 9.3).
 

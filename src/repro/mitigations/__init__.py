@@ -1,34 +1,27 @@
 """Mitigations: the paper's Section 9 defense arm, as composable policies.
 
-Three enforcement families, one spec object:
+One spec object, :class:`MitigationPolicy` (:mod:`~repro.mitigations.policy`),
+composes the paper's countermeasures into a frozen, name-registered
+stack that ``AttackConfig(mitigation=...)`` threads through the whole
+pipeline:
 
-* **Access control** (:mod:`~repro.mitigations.access_control`, paper
-  Section 9.2) — :class:`AccessPolicy` implementations consulted by the
-  KGSL device file on every counter ioctl;
-* **Obfuscation** (:mod:`~repro.mitigations.obfuscation`, Section 9.3) —
-  driver-level value perturbation and OS-injected noise workloads;
+* **Access control** (Section 9.2) — RBAC ioctl whitelisting and
+  local-only counter views, enforced by the :class:`PolicyEnforcer` the
+  KGSL device file consults on every counter ioctl;
+* **Value obfuscation** (Section 9.3) — rate limiting, quantization and a
+  noise walk in the same enforcer's value pipeline;
 * **Popup rendering changes** (:mod:`~repro.mitigations.popup_disable`,
   Section 9.1) — victim-side keyboard configuration changes.
 
-:mod:`~repro.mitigations.policy` composes all of them into the frozen,
-name-registered :class:`MitigationPolicy` spec that
-``AttackConfig(mitigation=...)`` threads through the whole pipeline; see
-``docs/defenses.md`` for the handbook and the threat × mitigation matrix.
+OS-injected noise workloads (:mod:`~repro.mitigations.obfuscation`,
+Section 9.3) perturb the victim timeline instead, and stay a separate
+mechanism.  See ``docs/defenses.md`` for the handbook and the threat ×
+mitigation matrix.
 """
 
-from repro.mitigations.access_control import (
-    DEFAULT_PRIVILEGED_CONTEXTS,
-    AccessPolicy,
-    AllowAllPolicy,
-    LocalOnlyPolicy,
-    RbacPolicy,
-)
-from repro.mitigations.obfuscation import (
-    CounterObfuscationPolicy,
-    OsNoiseInjector,
-    with_os_noise,
-)
+from repro.mitigations.obfuscation import OsNoiseInjector, with_os_noise
 from repro.mitigations.policy import (
+    DEFAULT_PRIVILEGED_CONTEXTS,
     MITIGATION_ENV,
     MITIGATION_REGISTRY,
     MitigationPolicy,
@@ -55,14 +48,8 @@ __all__ = [
     "mitigation",
     "mitigation_names",
     "register_mitigation",
-    # access control (Section 9.2)
-    "AccessPolicy",
-    "AllowAllPolicy",
-    "RbacPolicy",
-    "LocalOnlyPolicy",
     "DEFAULT_PRIVILEGED_CONTEXTS",
-    # obfuscation (Section 9.3)
-    "CounterObfuscationPolicy",
+    # OS-injected noise workloads (Section 9.3)
     "OsNoiseInjector",
     "with_os_noise",
     # popup rendering changes (Section 9.1)

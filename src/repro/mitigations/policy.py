@@ -10,11 +10,11 @@ makes that composition first-class:
   noise injection, popup changes) and with what parameters.  Policies
   compose commutatively via :func:`compose`, so an operator can stack
   "RBAC plus quantization plus popups off" as a single named object.
-* :class:`PolicyEnforcer` — the runtime form: one
-  :class:`~repro.mitigations.access_control.AccessPolicy` enforcing the
-  whole stack at the KGSL device file (``check`` for access control,
-  ``filter_value`` for the value pipeline), with per-layer counters that
-  flush into the run manifest as ``mitigation.*``.
+* :class:`PolicyEnforcer` — the runtime form: the hook the KGSL device
+  file consults on every counter ioctl, enforcing the whole stack
+  (``check`` for access control, ``filter_value`` for the value
+  pipeline), with per-layer counters that flush into the run manifest
+  as ``mitigation.*``.
 * :data:`MITIGATION_REGISTRY` — named lookup with the same
   :class:`~repro.registry.UnknownNameError` suggestions as keyboards and
   scenarios; :func:`register_mitigation` validates before registering.
@@ -40,22 +40,23 @@ from __future__ import annotations
 
 import errno
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.kgsl.device_file import ProcessContext
 from repro.kgsl.ioctl import IoctlError
-from repro.mitigations.access_control import (
-    DEFAULT_PRIVILEGED_CONTEXTS,
-    AccessPolicy,
-)
 from repro.registry import Registry
 
 #: Environment variable naming the fleet-wide default policy, honored by
 #: ``AttackConfig(mitigation="auto")`` — the same precedence shape as
 #: ``REPRO_FAULT_PROFILE`` for fault plans.
 MITIGATION_ENV = "REPRO_MITIGATION"
+
+#: SELinux contexts normally allowed to touch global GPU counters.
+DEFAULT_PRIVILEGED_CONTEXTS: FrozenSet[str] = frozenset(
+    {"system_server", "platform_app", "shell", "su", "graphics_profiler"}
+)
 
 #: Mean obfuscation step per read at ``noise_strength=1.0``, scaled to a
 #: typical key-press counter increment (cf. Section 9.3's requirement
@@ -244,7 +245,7 @@ class MitigationStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-class PolicyEnforcer(AccessPolicy):
+class PolicyEnforcer:
     """The runtime stack of one :class:`MitigationPolicy` at the KGSL fd.
 
     Stateful — the rate limiter's cached snapshots and the noise walk
@@ -273,7 +274,7 @@ class PolicyEnforcer(AccessPolicy):
         #: (groupid, countable) -> (last fresh-serve time, value served)
         self._snapshot: Dict[Tuple[int, int], Tuple[float, int]] = {}
 
-    # -- AccessPolicy interface ------------------------------------------
+    # -- device-file hook interface ---------------------------------------
 
     def _privileged(self, context: ProcessContext) -> bool:
         return context.selinux_context in self.policy.privileged_contexts
@@ -375,7 +376,7 @@ def mitigation_names() -> List[str]:
 
 #: The undefended baseline: today's Android behaviour, as a named cell so
 #: the threat × mitigation matrix has an explicit control column.
-ALLOW_ALL = register_mitigation(
+register_mitigation(
     MitigationPolicy(
         name="allow-all",
         description="no defense: stock Android counter access (the vulnerability)",

@@ -72,10 +72,10 @@ class Histogram:
 
     ``buckets`` are inclusive upper bounds; one implicit overflow bucket
     catches everything beyond the last bound.  ``keep_samples=True``
-    additionally retains the raw observations — used only where a
-    deprecated raw-list accessor must keep returning exact values for
-    one release (the :attr:`~repro.core.online.OnlineResult.latency`
-    shim); new instruments should leave it off.
+    additionally retains the raw observations — used only by the
+    per-result :attr:`~repro.core.online.OnlineResult.latency`
+    histogram, whose exact samples feed the Fig 25 latency histogram;
+    registry instruments leave it off.
     """
 
     __slots__ = ("name", "buckets", "counts", "count", "sum", "min", "max", "samples")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from repro.android.keyboard import KeyboardSpec, register_keyboard
 from repro.scenarios.spec import Scenario, register_scenario
 
-PINPAD = register_keyboard(
+register_keyboard(
     KeyboardSpec(
         name="pinpad",
         display_name="Banking PIN Pad",
@@ -40,7 +40,7 @@ PINPAD = register_keyboard(
     tags=("extension", "numeric"),
 )
 
-PINPAD_SCENARIO = register_scenario(
+register_scenario(
     Scenario(
         name="pinpad",
         keyboard="pinpad",

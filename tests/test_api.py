@@ -14,13 +14,13 @@ import pytest
 
 from repro import api
 from repro.api import (
-    CHASE,
     AttackConfig,
     AttackResult,
     FaultPlan,
     OnlineResult,
     ServiceReport,
     SessionResult,
+    app,
     attack,
     monitor,
     run_sessions,
@@ -41,12 +41,12 @@ def cfg():
 
 @pytest.fixture(scope="module")
 def trace(config, cfg):
-    return simulate(config, CHASE, CREDENTIAL, seed=3, config=cfg)
+    return simulate(config, app("chase"), CREDENTIAL, seed=3, config=cfg)
 
 
 def launch_session(config, text="secret12"):
     """A victim session with an app-launch burst, for the service path."""
-    device = api.VictimDevice(config, CHASE, rng=np.random.default_rng(31))
+    device = api.VictimDevice(config, app("chase"), rng=np.random.default_rng(31))
     events = [api.KeyPress(t=3.0 + 0.45 * i, char=c) for i, c in enumerate(text)]
     return device.compile(events, end_time_s=9.0, launch_at_s=1.2)
 
@@ -66,6 +66,7 @@ class TestAttackConfig:
         {"cpu_utilization": 1.5},
         {"gpu_utilization": -0.2},
         {"sweep_repeats": 0},
+        {"fault_plan": "harsch"},  # profile typos fail here, not in a worker
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -99,7 +100,7 @@ class TestAttackConfig:
 
 class TestFacade:
     def test_train_matches_pipeline_defaults(self, config, chase_model, cfg):
-        store = train([(config, CHASE)], config=cfg)
+        store = train([(config, app("chase"))], config=cfg)
         assert store.keys() == [chase_model.model_key]
         assert store.get(store.keys()[0]).cth == chase_model.cth
 
@@ -115,7 +116,7 @@ class TestFacade:
     def test_run_sessions_batches(self, chase_store, config, cfg, monkeypatch):
         monkeypatch.delenv(api.FAULT_PROFILE_ENV, raising=False)
         traces = [
-            simulate(config, CHASE, CREDENTIAL, seed=3 + i, config=cfg)
+            simulate(config, app("chase"), CREDENTIAL, seed=3 + i, config=cfg)
             for i in range(2)
         ]
         results = run_sessions(chase_store, traces, seed=55, config=cfg)
@@ -151,12 +152,6 @@ class TestResultProtocol:
         report = monitor(chase_store, launch_session(config), seed=77)
         assert isinstance(report, SessionResult)
         assert report.text == report.inferred_text
-
-    def test_samples_taken_alias_warns_once_per_call(self, chase_store, trace, cfg):
-        result = attack(chase_store, trace, seed=77, config=cfg)
-        with pytest.deprecated_call():
-            legacy = result.samples_taken
-        assert legacy == result.reads_issued
 
 
 class TestConsumersUseOnlyTheFacade:

@@ -307,18 +307,14 @@ class TestDelivery:
         with pytest.raises(ValueError, match="unknown"):
             CollectorConfig.from_dict({"bogus": 1})
 
-    def test_legacy_kwargs_warn_and_apply(self):
-        with pytest.deprecated_call(match="CollectorServer"):
-            server = CollectorServer(transport="tcp", queue_size=7)
-        assert server.config.queue_size == 7
-        with pytest.raises(ValueError, match="transport"):
-            with pytest.deprecated_call():
-                CollectorServer(transport="carrier-pigeon")
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            CollectorServer(bogus_knob=1)
+    def test_legacy_kwargs_are_rejected(self):
+        # CollectorConfig is the one route for transport/retry knobs
+        with pytest.raises(TypeError, match="queue_size"):
+            CollectorServer(queue_size=7)
         endpoint = ("tcp", "127.0.0.1", 1)
-        with pytest.deprecated_call(match="CollectorClient"):
-            client = CollectorClient(endpoint, "d", retry=FAST_RETRY)
+        with pytest.raises(TypeError, match="retry"):
+            CollectorClient(endpoint, "d", retry=FAST_RETRY)
+        client = CollectorClient(endpoint, "d", config=fast_cfg())
         assert client.retry == FAST_RETRY
 
 
@@ -621,13 +617,13 @@ class TestCodecNegotiationE2E:
 
 class TestFleet:
     def test_fleet_end_to_end(self, config, chase_store):
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.api import AttackConfig
 
         report = run_fleet(
             chase_store,
             config,
-            CHASE,
+            app("chase"),
             "flpwd123",
             devices=2,
             sessions_per_device=1,
@@ -651,14 +647,14 @@ class TestFleet:
             assert payload.mask == 0
 
     def test_fleet_with_metrics_merges_device_runs(self, config, chase_store):
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.api import AttackConfig
 
         registry = MetricsRegistry()
         report = run_fleet(
             chase_store,
             config,
-            CHASE,
+            app("chase"),
             "flpwd123",
             devices=2,
             sessions_per_device=1,
@@ -674,14 +670,14 @@ class TestFleet:
         assert report.manifest.config["recognize_device"] is False
 
     def test_fleet_unix_transport_with_faults(self, config, chase_store, tmp_path):
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
         from repro.api import AttackConfig
 
         plan = FaultPlan(seed=4, read_error_prob=0.25, jitter_prob=0.1, jitter_s=1e-4)
         report = run_fleet(
             chase_store,
             config,
-            CHASE,
+            app("chase"),
             "flpwd123",
             devices=2,
             sessions_per_device=2,
@@ -698,12 +694,12 @@ class TestFleet:
         assert report.ingested == 4
 
     def test_fleet_driver_validation(self, config, chase_store):
-        from repro.android.apps import CHASE
+        from repro.android.apps import app
 
         with pytest.raises(ValueError, match="devices"):
-            FleetDriver(chase_store, config, CHASE, "pw", devices=0)
+            FleetDriver(chase_store, config, app("chase"), "pw", devices=0)
         with pytest.raises(ValueError, match="sessions_per_device"):
-            FleetDriver(chase_store, config, CHASE, "pw", sessions_per_device=0)
+            FleetDriver(chase_store, config, app("chase"), "pw", sessions_per_device=0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,11 @@ from repro.kgsl.ioctl import (
     KgslDeviceGetProperty,
     KgslPerfcounterGet,
 )
-from repro.mitigations.access_control import (
+from repro.mitigations.policy import (
     DEFAULT_PRIVILEGED_CONTEXTS,
-    AccessPolicy,
-    LocalOnlyPolicy,
-    RbacPolicy,
+    MitigationPolicy,
+    PolicyEnforcer,
+    mitigation,
 )
 
 
@@ -37,7 +37,7 @@ def timeline_with(amount=1000, t=0.5):
 
 class TestRbacBoundaries:
     def test_every_default_privileged_context_allowed(self):
-        policy = RbacPolicy()
+        policy = mitigation("rbac").enforcer(seed=0)
         for context_name in DEFAULT_PRIVILEGED_CONTEXTS:
             dev = open_kgsl(
                 timeline_with(),
@@ -48,10 +48,12 @@ class TestRbacBoundaries:
                 IOCTL_KGSL_PERFCOUNTER_GET,
                 KgslPerfcounterGet(groupid=0x19, countable=14),
             )
-        assert policy.denials == 0
+        assert policy.stats.denials == 0
 
     def test_custom_whitelist(self):
-        policy = RbacPolicy(privileged_contexts=frozenset({"my_profiler"}))
+        policy = MitigationPolicy(
+            name="rbac-custom", rbac=True, privileged_contexts=("my_profiler",)
+        ).enforcer(seed=0)
         allowed = open_kgsl(
             timeline_with(),
             context=ProcessContext(selinux_context="my_profiler"),
@@ -74,13 +76,15 @@ class TestRbacBoundaries:
     def test_rbac_does_not_block_device_info(self):
         """Chip-id queries are part of normal driver startup; RBAC on
         counters must not break ordinary graphics apps."""
-        dev = open_kgsl(timeline_with(), access_policy=RbacPolicy())
+        dev = open_kgsl(
+            timeline_with(), access_policy=mitigation("rbac").enforcer(seed=0)
+        )
         prop = KgslDeviceGetProperty(type=KGSL_PROP_DEVICE_INFO)
         dev.ioctl(IOCTL_KGSL_DEVICE_GETPROPERTY, prop)
         assert prop.value.adreno_model == 650
 
     def test_denial_counter_accumulates(self):
-        policy = RbacPolicy()
+        policy = mitigation("rbac").enforcer(seed=0)
         dev = open_kgsl(timeline_with(), access_policy=policy)
         for _ in range(3):
             with pytest.raises(IoctlError):
@@ -88,12 +92,12 @@ class TestRbacBoundaries:
                     IOCTL_KGSL_PERFCOUNTER_GET,
                     KgslPerfcounterGet(groupid=0x19, countable=14),
                 )
-        assert policy.denials == 3
+        assert policy.stats.denials == 3
 
 
 class TestLocalOnlyBoundaries:
     def test_filter_applies_per_context(self):
-        policy = LocalOnlyPolicy()
+        policy = mitigation("local-only").enforcer(seed=0)
         assert (
             policy.filter_value(
                 ProcessContext(selinux_context="untrusted_app"),
@@ -116,6 +120,7 @@ class TestLocalOnlyBoundaries:
         )
 
     def test_base_policy_is_a_noop(self):
-        policy = AccessPolicy()
+        # a policy with no device-file layer passes every request through
+        policy = PolicyEnforcer(MitigationPolicy(name="noop"))
         policy.check(ProcessContext(), "get", 0x19, 14)  # must not raise
         assert policy.filter_value(ProcessContext(), 0x19, 14, 7, now=0.0) == 7

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.android.display import Display
-from repro.android.keyboard import GBOARD
+from repro.android.keyboard import keyboard
 from repro.android.os_config import default_config
 from repro.gpu import counters as pc
 from repro.gpu.adreno import adreno
@@ -19,12 +19,8 @@ from repro.kgsl.ioctl import (
     KgslPerfcounterGet,
 )
 from repro.kgsl.sampler import PerfCounterSampler
-from repro.mitigations.access_control import (
-    AllowAllPolicy,
-    LocalOnlyPolicy,
-    RbacPolicy,
-)
-from repro.mitigations.obfuscation import CounterObfuscationPolicy, OsNoiseInjector, with_os_noise
+from repro.mitigations.obfuscation import OsNoiseInjector, with_os_noise
+from repro.mitigations.policy import MitigationPolicy, mitigation
 from repro.mitigations.popup_disable import config_with_popups_disabled, disable_popups
 
 
@@ -40,26 +36,34 @@ UNTRUSTED = ProcessContext(selinux_context="untrusted_app")
 PROFILER = ProcessContext(selinux_context="graphics_profiler")
 
 
-class TestRbacPolicy:
+def noise_enforcer(strength):
+    """A noise-walk-only enforcer (Section 9.3 driver value obfuscation)."""
+    return MitigationPolicy(name="noise", noise_strength=strength).enforcer(seed=0)
+
+
+class TestRbac:
     def test_untrusted_app_denied_eacces(self):
-        policy = RbacPolicy()
+        policy = mitigation("rbac").enforcer(seed=0)
         dev = open_kgsl(timeline_with(), context=UNTRUSTED, access_policy=policy)
         with pytest.raises(IoctlError) as exc:
             dev.ioctl(IOCTL_KGSL_PERFCOUNTER_GET, KgslPerfcounterGet(groupid=0x19, countable=14))
         assert exc.value.errno == errno.EACCES
-        assert policy.denials == 1
+        assert policy.stats.denials == 1
 
     def test_privileged_profiler_allowed(self):
-        policy = RbacPolicy()
+        policy = mitigation("rbac").enforcer(seed=0)
         dev = open_kgsl(timeline_with(), context=PROFILER, access_policy=policy)
         dev.ioctl(IOCTL_KGSL_PERFCOUNTER_GET, KgslPerfcounterGet(groupid=0x19, countable=14))
-        assert policy.denials == 0
+        assert policy.stats.denials == 0
 
     def test_attack_sampler_starts_blind(self):
         # EACCES at reserve time permanently masks the counters: the
         # sampler comes up with nothing to read instead of crashing the
         # attacking app (the resilient-sampling contract).
-        dev = open_kgsl(timeline_with(), context=UNTRUSTED, access_policy=RbacPolicy())
+        dev = open_kgsl(
+            timeline_with(), context=UNTRUSTED,
+            access_policy=mitigation("rbac").enforcer(seed=0),
+        )
         sampler = PerfCounterSampler(dev)
         assert sampler._active == []
         assert sampler.counters_denied == len(sampler.counters)
@@ -69,9 +73,9 @@ class TestRbacPolicy:
         assert all(not s.values for s in samples)
 
 
-class TestLocalOnlyPolicy:
+class TestLocalOnly:
     def test_unprivileged_reads_flat_zero(self):
-        policy = LocalOnlyPolicy()
+        policy = mitigation("local-only").enforcer(seed=0)
         dev = open_kgsl(
             timeline_with(amount=5000), clock=DeviceClock(), context=UNTRUSTED, access_policy=policy
         )
@@ -80,10 +84,10 @@ class TestLocalOnlyPolicy:
         assert all(
             v == 0 for s in samples for v in s.values.values()
         ), "unprivileged reads must expose no global activity"
-        assert policy.local_reads > 0
+        assert policy.stats.local_zeroed > 0
 
     def test_privileged_sees_global_values(self):
-        policy = LocalOnlyPolicy()
+        policy = mitigation("local-only").enforcer(seed=0)
         dev = open_kgsl(
             timeline_with(amount=5000), clock=DeviceClock(), context=PROFILER, access_policy=policy
         )
@@ -94,9 +98,12 @@ class TestLocalOnlyPolicy:
 
 class TestAllowAll:
     def test_default_policy_is_permissive(self):
+        # allow-all acts nowhere at the device file, so it installs no hook
+        policy = mitigation("allow-all").enforcer(seed=0)
+        assert policy is None
         dev = open_kgsl(
             timeline_with(amount=100), clock=DeviceClock(), context=UNTRUSTED,
-            access_policy=AllowAllPolicy(),
+            access_policy=policy,
         )
         sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
         samples = sampler.sample_range(0.0, 1.0)
@@ -105,7 +112,7 @@ class TestAllowAll:
 
 class TestObfuscation:
     def test_values_perturbed_for_unprivileged(self):
-        policy = CounterObfuscationPolicy(strength=1.0)
+        policy = noise_enforcer(1.0)
         dev = open_kgsl(
             timeline_with(amount=100), clock=DeviceClock(), context=UNTRUSTED, access_policy=policy
         )
@@ -118,7 +125,7 @@ class TestObfuscation:
         assert sum(1 for d in deltas if d != 0) > len(deltas) // 2
 
     def test_values_stay_monotone(self):
-        policy = CounterObfuscationPolicy(strength=2.0)
+        policy = noise_enforcer(2.0)
         dev = open_kgsl(
             timeline_with(amount=100), clock=DeviceClock(), context=UNTRUSTED, access_policy=policy
         )
@@ -128,7 +135,7 @@ class TestObfuscation:
         assert values == sorted(values)
 
     def test_privileged_unaffected(self):
-        policy = CounterObfuscationPolicy()
+        policy = noise_enforcer(1.0)
         dev = open_kgsl(
             timeline_with(amount=100), clock=DeviceClock(),
             context=ProcessContext(selinux_context="system_server"),
@@ -167,7 +174,7 @@ class TestOsNoiseInjector:
 
 class TestPopupDisable:
     def test_disable_popups_flags(self):
-        spec = disable_popups(GBOARD)
+        spec = disable_popups(keyboard("gboard"))
         assert not spec.supports_popup
         assert spec.duplicate_popup_prob == 0.0
 

@@ -148,17 +148,18 @@ class TestIntegrity:
         with pytest.raises(ModelIntegrityError, match="unknown model store schema"):
             ModelStore.load(path)
 
-    def test_legacy_file_loads_with_deprecation_warning(self, tmp_path):
+    def test_legacy_file_is_rejected_as_unknown_schema(self, tmp_path):
         import json
+
+        from repro.core.model_store import ModelIntegrityError
 
         store = ModelStore()
         store.add(model("cfg1/chase"))
         path = tmp_path / "legacy.json"
+        # a bare {"models": [...]} document from before the envelope
         path.write_text(json.dumps(store.to_dict()))
-        with pytest.warns(DeprecationWarning, match="legacy"):
-            loaded = ModelStore.load(path)
-        assert loaded.keys() == ["cfg1/chase"]
-        assert loaded.version == 0
+        with pytest.raises(ModelIntegrityError, match="unknown model store schema"):
+            ModelStore.load(path)
 
     def test_version_and_lineage_roundtrip(self, tmp_path):
         store = ModelStore()

@@ -4,8 +4,8 @@ Four layers under test:
 
 * the generic :class:`repro.registry.Registry` semantics every producer
   shares — unified unknown-name errors with did-you-mean suggestions;
-* the deprecated module-constant aliases (``CHASE``, ``SWIFTKEY``, …)
-  still resolving, still identical to the registered specs, and warning;
+* a warning-free package import (specs are reached only through the
+  registry lookups);
 * :class:`repro.scenarios.Scenario` / ``AttackConfig(scenario=...)``
   serialization round-trips and facade threading;
 * the PIN-pad extension — a keyboard + scenario registered entirely
@@ -108,47 +108,9 @@ class TestRegistrySemantics:
 
 
 class TestDeprecatedAliases:
-    """Satellite 3: legacy constants warn but still resolve identically."""
-
-    @pytest.mark.parametrize(
-        "module_name, attr, registry_name, lookup",
-        [
-            ("repro.android.apps", "CHASE", "chase", app),
-            ("repro.android.apps", "PNC", "pnc", app),
-            ("repro.android.keyboard", "SWIFTKEY", "swift", keyboard),
-            ("repro.android.keyboard", "GBOARD", "gboard", keyboard),
-            ("repro.android.os_config", "ONEPLUS_8_PRO", "oneplus8pro", phone),
-        ],
-    )
-    def test_constant_warns_and_is_registered_object(
-        self, module_name, attr, registry_name, lookup
-    ):
-        import importlib
-
-        module = importlib.import_module(module_name)
-        with pytest.warns(DeprecationWarning, match=attr):
-            value = getattr(module, attr)
-        assert value is lookup(registry_name)
-
-    def test_native_apps_tuple_warns_and_keeps_order(self):
-        import repro.android.apps as apps
-
-        with pytest.warns(DeprecationWarning, match="NATIVE_APPS"):
-            native = apps.NATIVE_APPS
-        assert [spec.name for spec in native] == [
-            "chase", "amex", "fidelity", "schwab", "myfico", "experian",
-        ]
-
-    def test_api_reexports_resolve_with_warning(self):
-        import repro.api as api
-
-        with pytest.warns(DeprecationWarning):
-            assert api.CHASE is app("chase")
-        with pytest.warns(DeprecationWarning):
-            assert api.GRAMMARLY is keyboard("grammarly")
+    """Importing the package emits no DeprecationWarning."""
 
     def test_plain_import_of_repro_is_warning_free(self):
-        # the aliases are lazy: importing the package must not warn
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             import repro  # noqa: F401
