@@ -7,9 +7,14 @@ sessions through ``run_sessions`` — each with its own KGSL file, sampler
 RNG and online engine — and reports aggregate sessions/sec plus the
 per-stage decision counters from the shared ``RuntimeTrace``.
 
-Chunked sampling (``ATTACK_SOURCE_CHUNK`` reads per pull, vectorized
-nonzero-delta extraction) is what keeps this tractable; the bench also
-measures the vectorized extractor against the scalar one directly.
+Block reads are what keep this tractable: each attack session pulls
+``ATTACK_SOURCE_CHUNK`` reads at a time, and with no fault, drift or
+policy hook installed (as here) each pull is one bulk KGSL read — a
+single ``RenderTimeline.values_at_many`` query — differenced as an
+``[n, 11]`` matrix, with ``PcDelta`` objects built only for the ~6% of
+reads where a counter moved.  Hooked sessions fall back to one ioctl
+per read and the vectorized extractor, which the bench also measures
+against the scalar one directly.
 """
 
 import time

@@ -37,7 +37,14 @@ from repro.core import features
 from repro.core.classifier import ClassificationModel, build_model
 from repro.gpu.timeline import FrameRender, RenderTimeline
 from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import DEFAULT_INTERVAL_S, PcSample, PerfCounterSampler, deltas
+from repro.kgsl.sampler import (
+    DEFAULT_INTERVAL_S,
+    PcDelta,
+    PcSample,
+    PerfCounterSampler,
+    deltas,
+    nonzero_block_deltas,
+)
 
 
 def frame_to_class_label(frame_label: str) -> Optional[str]:
@@ -91,20 +98,25 @@ def label_samples(
     timeline: RenderTimeline, samples: Sequence[PcSample], data: TrainingData
 ) -> None:
     """Label each inter-sample delta from the ground-truth frame log."""
+    label_deltas(timeline, [delta for delta in deltas(samples) if delta], data)
+
+
+def label_deltas(
+    timeline: RenderTimeline, nonzero: Sequence[PcDelta], data: TrainingData
+) -> None:
+    """Label each nonzero delta from the frames overlapping its window."""
     frames = timeline.frames
     starts = np.array([f.start_s for f in frames])
     ends = np.array([f.end_s for f in frames])
-    for prev, cur, delta in zip(samples, samples[1:], deltas(samples)):
-        if not delta:
-            continue
-        # frames contributing to this window: any overlap with (prev.t, cur.t]
-        mask = (starts < cur.t) & (ends > prev.t)
+    for delta in nonzero:
+        # frames contributing to this window: any overlap with (prev_t, t]
+        mask = (starts < delta.t) & (ends > delta.prev_t)
         involved: List[FrameRender] = [frames[i] for i in np.flatnonzero(mask)]
         if len(involved) != 1:
             data.discarded_windows += 1
             continue
         frame = involved[0]
-        if frame.start_s <= prev.t or frame.end_s > cur.t:
+        if frame.start_s <= delta.prev_t or frame.end_s > delta.t:
             # partially accrued (split across reads) — discard for training
             data.discarded_windows += 1
             continue
@@ -153,8 +165,11 @@ class OfflineTrainer:
         sampler = PerfCounterSampler(
             kgsl, interval_s=self.interval_s, rng=self.rng
         )
-        samples = sampler.sample_range(0.0, end_time_s)
-        label_samples(trace.timeline, samples, data)
+        # a fresh hook-free fd: the whole session is one bulk read, and
+        # the labels equal label_samples over sample_range
+        block = sampler.sample_block(0.0, end_time_s)
+        nonzero = nonzero_block_deltas(block.counter_ids, block.t, block.values)
+        label_deltas(trace.timeline, nonzero, data)
 
     def _key_sweep_events(self, chars: Sequence[str], repeats: int) -> Tuple[List[UserEvent], float]:
         """Press + backspace each character ``repeats`` times."""

@@ -10,6 +10,9 @@ split into multiple consecutive changes with smaller amounts".
 
 Queries are O(log n + k) via per-counter prefix sums, where k is the small
 number of frames still in flight at the query time.
+:meth:`RenderTimeline.values_at` answers one time;
+:meth:`RenderTimeline.values_at_many` answers a whole block of read times
+with the same arithmetic in array form.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ class RenderTimeline:
         self._sorted = True
         self._starts: Optional[np.ndarray] = None
         self._prefix: Optional[np.ndarray] = None
+        self._rows: Optional[np.ndarray] = None
+        self._ends: Optional[np.ndarray] = None
+        self._durations: Optional[np.ndarray] = None
         self._max_duration = 0.0
 
     def add(self, frame: FrameRender) -> None:
@@ -98,6 +104,11 @@ class RenderTimeline:
         self._prefix = np.vstack(
             [np.zeros((1, len(COUNTER_ORDER)), dtype=np.int64), np.cumsum(matrix, axis=0)]
         )
+        self._rows = matrix
+        self._ends = np.array([f.end_s for f in self._frames], dtype=float)
+        self._durations = np.array(
+            [f.stats.render_time_s for f in self._frames], dtype=float
+        )
         self._max_duration = max(
             (f.stats.render_time_s for f in self._frames), default=0.0
         )
@@ -125,6 +136,52 @@ class RenderTimeline:
                 totals[_COLUMN[cid]] -= amount - accrued
         return {cid: int(totals[_COLUMN[cid]]) for cid in COUNTER_ORDER}
 
+    def values_at_many(self, ts) -> np.ndarray:
+        """Cumulative counter values at every time in ``ts``.
+
+        Returns ``int64[len(ts), 11]`` in :data:`COUNTER_ORDER`, row ``i``
+        equal to :meth:`values_at` ``(ts[i])`` exactly: the same prefix
+        rows, the same in-flight window, the same ``start + render_time``
+        ends and the same half-to-even rounding of partial accruals.
+        :meth:`values_at` stays the scalar reference this is tested
+        against.
+        """
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        self._ensure_index()
+        if not self._frames:
+            return np.zeros((len(ts), len(COUNTER_ORDER)), dtype=np.int64)
+        assert self._starts is not None and self._prefix is not None
+        idx = np.searchsorted(self._starts, ts, side="right")
+        totals = self._prefix[idx]
+        first = np.searchsorted(
+            self._starts, ts - self._max_duration - 1e-12, side="left"
+        )
+        # one (query, frame) pair per frame that may still be in flight
+        counts = np.maximum(idx - first, 0)
+        pairs = int(counts.sum())
+        if pairs == 0:
+            return totals
+        query = np.repeat(np.arange(len(ts)), counts)
+        offsets = np.cumsum(counts) - counts
+        frame = first[query] + (np.arange(pairs) - offsets[query])
+        t = ts[query]
+        start = self._starts[frame]
+        duration = self._durations[frame]
+        # FrameRender.progress: nothing accrued at or before the start;
+        # done at the end, or at once for a zero-length render
+        waiting = t <= start
+        partial = ~waiting & (t < self._ends[frame]) & (duration > 0)
+        keep = waiting | partial
+        if not keep.any():
+            return totals
+        progress = np.zeros(pairs)
+        progress[partial] = (t[partial] - start[partial]) / duration[partial]
+        query, frame, progress = query[keep], frame[keep], progress[keep]
+        amounts = self._rows[frame]
+        accrued = np.rint(amounts * progress[:, None]).astype(np.int64)
+        np.subtract.at(totals, query, amounts - accrued)
+        return totals
+
     def frames_between(self, t0: float, t1: float) -> List[FrameRender]:
         """Frames starting in ``[t0, t1)`` — for trace inspection."""
         self._ensure_index()
@@ -141,6 +198,8 @@ class RenderTimeline:
         """
         if t1 <= t0:
             return 0.0
+        # the in-flight window below needs a fresh max duration
+        self._ensure_index()
         busy = 0.0
         for frame in self.frames_between(t0 - self._max_duration, t1):
             start = max(t0, frame.start_s)

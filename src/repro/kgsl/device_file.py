@@ -18,16 +18,19 @@ semantics the attack relies on:
 Counter values are served from a :class:`~repro.gpu.timeline.RenderTimeline`
 at the device clock's current time, so reads that land mid-render observe
 partially accrued increments — the *split* factor of Section 5.1.
+:meth:`KgslDeviceFile.read_block` issues a run of such reads at once.
 """
 
 from __future__ import annotations
 
 import errno
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.gpu import counters as pc
-from repro.gpu.timeline import RenderTimeline
+from repro.gpu.timeline import COUNTER_ORDER, RenderTimeline
 from repro.kgsl.ioctl import (
     IOCTL_KGSL_DEVICE_GETPROPERTY,
     IOCTL_KGSL_PERFCOUNTER_GET,
@@ -40,10 +43,19 @@ from repro.kgsl.ioctl import (
     KgslPerfcounterGet,
     KgslPerfcounterPut,
     KgslPerfcounterRead,
+    KgslPerfcounterReadGroup,
 )
 
 #: KGSL device node path on Adreno phones.
 KGSL_DEVICE_PATH = "/dev/kgsl-3d0"
+
+#: Counter group ids the simulated GPU exposes.
+_KNOWN_GROUPS = frozenset(int(group) for group in pc.CounterGroup)
+#: Column of each timeline counter in a ``values_at_many`` row, keyed by
+#: the integer ``(groupid, countable)`` a read slot carries.
+_TIMELINE_COLUMN = {
+    (int(group), countable): i for i, (group, countable) in enumerate(COUNTER_ORDER)
+}
 
 
 @dataclass
@@ -112,6 +124,15 @@ class KgslDeviceFile:
     def __exit__(self, *exc) -> None:
         self.close()
 
+    @property
+    def has_read_hooks(self) -> bool:
+        """Whether a fault, drift or access-policy hook sees every read."""
+        return (
+            self.fault_injector is not None
+            or self.drift_injector is not None
+            or self.access_policy is not None
+        )
+
     # ------------------------------------------------------------------
 
     def ioctl(self, request: int, arg) -> int:
@@ -150,7 +171,7 @@ class KgslDeviceFile:
         if not isinstance(arg, KgslPerfcounterGet):
             raise IoctlError(errno.EFAULT, "PERFCOUNTER_GET needs kgsl_perfcounter_get")
         self._check_policy("get", arg.groupid, arg.countable)
-        if not self._known_group(arg.groupid):
+        if arg.groupid not in _KNOWN_GROUPS:
             # real driver: -EINVAL for a group the GPU does not expose
             raise IoctlError(errno.EINVAL, f"unknown counter group {arg.groupid:#x}")
         self._reserved.add((arg.groupid, arg.countable))
@@ -179,8 +200,9 @@ class KgslDeviceFile:
                     f"counter (group={slot.groupid:#x}, countable={slot.countable}) "
                     "not reserved; call PERFCOUNTER_GET first",
                 )
-            counter_id = self._counter_id(slot.groupid, slot.countable)
-            raw = values.get(counter_id, 0)
+            # an integer key finds the timeline's CounterGroup key: an
+            # IntEnum member hashes and compares as its value
+            raw = values.get(key, 0)
             if self.drift_injector is not None:
                 # signature drift is physical — the GPU itself runs
                 # slower / renders differently — so it rewrites the raw
@@ -198,6 +220,55 @@ class KgslDeviceFile:
         if self.fault_injector is not None:
             self.fault_injector.after_read(arg.reads, self.clock.now)
         return 0
+
+    def read_block(
+        self, slots: Sequence[Tuple[int, int]], times: Sequence[float]
+    ) -> np.ndarray:
+        """``len(times)`` sequential ``PERFCOUNTER_READ``s of ``slots``.
+
+        Read ``i`` runs with the device clock set to ``times[i]``; row
+        ``i`` of the returned ``int64[len(times), len(slots)]`` holds its
+        slot values.  The effect is that of the ioctls one by one:
+        ``EBADF`` on a closed fd, ``EINVAL`` for an empty read or an
+        unreserved slot, ``ioctl_count`` up by one per read and the
+        clock left at the last read time.  When every read is sure to
+        succeed and no hook sees reads, the values come from one
+        :meth:`~repro.gpu.timeline.RenderTimeline.values_at_many` query;
+        otherwise the reads go through :meth:`ioctl` one at a time, so
+        each hook and each error behaves exactly as in that loop.
+        """
+        times = np.asarray(times, dtype=float).reshape(-1)
+        n = len(times)
+        if n == 0:
+            return np.zeros((0, len(slots)), dtype=np.int64)
+        if (
+            self._closed
+            or self.has_read_hooks
+            or not slots
+            or not self._reserved.issuperset(slots)
+            or times[0] < self.clock.now
+            or bool((np.diff(times) < 0).any())
+        ):
+            return self._read_each(slots, times)
+        values = self.timeline.values_at_many(times)
+        self.ioctl_count += n
+        self.clock.set(float(times[-1]))
+        columns = [_TIMELINE_COLUMN.get(key, -1) for key in slots]
+        if -1 in columns:
+            # a reserved counter the timeline does not model reads 0
+            values = np.hstack([values, np.zeros((n, 1), dtype=np.int64)])
+        return values[:, columns]
+
+    def _read_each(self, slots: Sequence[Tuple[int, int]], times: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(times), len(slots)), dtype=np.int64)
+        for i, t in enumerate(times.tolist()):
+            self.clock.set(t)
+            read = KgslPerfcounterRead(
+                reads=[KgslPerfcounterReadGroup(groupid=g, countable=c) for g, c in slots]
+            )
+            self.ioctl(IOCTL_KGSL_PERFCOUNTER_READ, read)
+            out[i] = [slot.value for slot in read.reads]
+        return out
 
     def _device_getproperty(self, arg: KgslDeviceGetProperty) -> int:
         """``KGSL_PROP_DEVICE_INFO``: identify the GPU, as every user-space
@@ -226,14 +297,6 @@ class KgslDeviceFile:
         contention behaviour the resilient sampler must survive.
         """
         self._reserved.discard(key)
-
-    @staticmethod
-    def _known_group(groupid: int) -> bool:
-        return groupid in {int(group) for group in pc.CounterGroup}
-
-    @staticmethod
-    def _counter_id(groupid: int, countable: int) -> pc.CounterId:
-        return (pc.CounterGroup(groupid), countable)
 
 
 def open_kgsl(

@@ -19,6 +19,7 @@ device file, including the scheduling realities the paper measures:
 from __future__ import annotations
 
 import errno
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -208,6 +209,17 @@ class PcDelta:
         return part, remainder
 
 
+@dataclass(frozen=True)
+class SampleBlock:
+    """Consecutive reads in array form: ``t`` holds the read times
+    (``float[n]``) and row ``i`` of ``values`` (``int64[n, k]``) the
+    counters of read ``i``, one column per entry of ``counter_ids``."""
+
+    t: np.ndarray
+    values: np.ndarray
+    counter_ids: Tuple[pc.CounterId, ...]
+
+
 class PerfCounterSampler:
     """The attacking service's counter-reading loop.
 
@@ -271,6 +283,23 @@ class PerfCounterSampler:
         self._denied: set = set()
         self._active: List[pc.CounterSpec] = []
         self._reserve_counters()
+
+    @property
+    def reads_in_blocks(self) -> bool:
+        """Whether :meth:`iter_blocks` can serve this sampler's reads.
+
+        True when nothing on the read path can fail, retry or rewrite a
+        value — no fault injector here, no hook on the device file, every
+        counter held — so one bulk read means exactly the per-read loop
+        of :meth:`iter_samples`.
+        """
+        return (
+            self.fault_injector is None
+            and not self.device_file.has_read_hooks
+            and not self._lost
+            and not self._denied
+            and bool(self._active)
+        )
 
     @property
     def degraded(self) -> bool:
@@ -467,8 +496,7 @@ class PerfCounterSampler:
                     continue
                 raise
             return {
-                (pc.CounterGroup(slot.groupid), slot.countable): slot.value
-                for slot in read.reads
+                spec.counter_id: slot.value for spec, slot in zip(active, read.reads)
             }
 
     def _missing_now(self) -> Tuple[pc.CounterId, ...]:
@@ -559,6 +587,63 @@ class PerfCounterSampler:
         """Run the whole sampling loop over ``[t0, t1)`` and materialize it."""
         return list(self.iter_samples(t0, t1, load=load))
 
+    def iter_blocks(
+        self, t0: float, t1: float, load: SystemLoad = IDLE, chunk: int = 64
+    ) -> Iterator[SampleBlock]:
+        """The sampling loop over ``[t0, t1)``, up to ``chunk`` reads a block.
+
+        The scheduling loop is :meth:`iter_samples`'s, tick for tick, so
+        the RNG stream, read times and drops are the same; each block's
+        reads are then issued as one :meth:`KgslDeviceFile.read_block`.
+        A block ends on its ``chunk``-th read, where a consumer of
+        :meth:`iter_samples` that pulls ``chunk`` samples stops too, and
+        ``reads_issued``/``reads_dropped`` reach the same tallies.  The
+        last block may be empty.  Needs :attr:`reads_in_blocks`.
+        """
+        if not self.reads_in_blocks:
+            raise RuntimeError(
+                "reads must go one at a time: a hook, a fault or a lost counter is in play"
+            )
+        if chunk < 1:
+            raise ValueError("chunk must be >= 1")
+        active = list(self._active)
+        slots = [(int(spec.group), spec.countable) for spec in active]
+        counter_ids = tuple(spec.counter_id for spec in active)
+        clock = self.device_file.clock
+        nominal = t0
+        last_t = -1.0
+        while True:
+            clock_t = clock.now
+            read_ts: List[float] = []
+            clock_ts: List[float] = []
+            dropped = 0
+            while nominal < t1 and len(read_ts) < chunk:
+                delay = self._scheduling_delay(load)
+                if delay is None:
+                    dropped += 1
+                else:
+                    read_t = max(nominal + delay, last_t + 1e-5)
+                    clock_t = max(clock_t, read_t)
+                    read_ts.append(read_t)
+                    clock_ts.append(clock_t)
+                    last_t = read_t
+                nominal += self.interval_s
+            values = self.device_file.read_block(slots, clock_ts)
+            self._read_index += len(read_ts)
+            self.reads_issued += len(read_ts)
+            self.reads_dropped += dropped
+            yield SampleBlock(
+                t=np.array(read_ts, dtype=float), values=values, counter_ids=counter_ids
+            )
+            if nominal >= t1:
+                return
+
+    def sample_block(
+        self, t0: float, t1: float, load: SystemLoad = IDLE
+    ) -> SampleBlock:
+        """:meth:`sample_range` as one block (needs :attr:`reads_in_blocks`)."""
+        return next(self.iter_blocks(t0, t1, load=load, chunk=sys.maxsize))
+
 
 def masked_delta(prev: PcSample, cur: PcSample) -> PcDelta:
     """Difference two samples whose counter sets may disagree.
@@ -625,16 +710,40 @@ def nonzero_deltas_vectorized(
     matrix = np.array(
         [[s.values[cid] for cid in counter_ids] for s in chain], dtype=np.int64
     )
-    diffs = np.diff(matrix, axis=0)
+    times = np.array([s.t for s in chain], dtype=float)
+    return nonzero_block_deltas(counter_ids, times, matrix)
+
+
+def nonzero_block_deltas(
+    counter_ids: Sequence[pc.CounterId],
+    times: np.ndarray,
+    values: np.ndarray,
+    gap_s: Optional[float] = None,
+) -> List[PcDelta]:
+    """Nonzero deltas between consecutive rows of a read matrix.
+
+    ``times`` (``float[n]``) and ``values`` (``int64[n, k]``, columns in
+    ``counter_ids`` order) hold n reads; the result is what
+    :func:`nonzero_deltas` gives for the same samples, wraparound
+    included.  A delta spanning more than ``gap_s`` seconds comes out
+    flagged ``gap``.  Only rows where some counter moved become
+    :class:`PcDelta` objects.
+    """
+    diffs = np.diff(values, axis=0)
     np.add(diffs, pc.CounterBank.WRAP, out=diffs, where=diffs < 0)
     keep = np.flatnonzero(diffs.any(axis=1))
-    out: List[PcDelta] = []
-    for row in keep:
-        values = {
-            cid: int(v) for cid, v in zip(counter_ids, diffs[row])
-        }
-        out.append(PcDelta(t=chain[row + 1].t, prev_t=chain[row].t, values=values))
-    return out
+    ends = times[1:][keep]
+    starts = times[:-1][keep]
+    if gap_s is None:
+        gaps = [False] * len(keep)
+    else:
+        gaps = ((ends - starts) > gap_s).tolist()
+    return [
+        PcDelta(t=t, prev_t=prev_t, values=dict(zip(counter_ids, row)), gap=gap)
+        for t, prev_t, row, gap in zip(
+            ends.tolist(), starts.tolist(), diffs[keep].tolist(), gaps
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -7,19 +7,27 @@ source backed by a live sampler only issues the counter reads that are
 actually consumed (a mode switch abandons the rest, exactly like the
 Android service dropping its idle poll when it escalates).
 
-:class:`SamplerDeltaSource` is the production source: it drives
-:meth:`~repro.kgsl.sampler.PerfCounterSampler.iter_samples` and yields
-only the nonzero counter deltas — the attack's raw event stream.  With
-``chunk > 1`` it pulls reads in batches and differences them with the
-vectorized extractor, trading mode-switch granularity for throughput
-(the multi-session batch path uses this; the monitoring service's idle
-watch keeps ``chunk=1`` so escalation happens on the confirming read).
+:class:`SamplerDeltaSource` is the production source: it drives the
+sampler and yields only the nonzero counter deltas — the attack's raw
+event stream.  With ``chunk > 1`` it pulls reads in blocks of ``chunk``,
+trading mode-switch granularity for throughput (the attack sessions use
+this; the monitoring service's idle watch keeps ``chunk=1`` so
+escalation happens on the confirming read).  A block comes from
+:meth:`~repro.kgsl.sampler.PerfCounterSampler.iter_blocks` — one bulk
+KGSL read differenced as an ``[n, 11]`` matrix — whenever the sampler's
+:attr:`~repro.kgsl.sampler.PerfCounterSampler.reads_in_blocks` holds;
+with a fault, drift or policy hook installed, or a counter lost or
+denied, the reads go one at a time through
+:meth:`~repro.kgsl.sampler.PerfCounterSampler.iter_samples` and the
+vectorized extractor.  Both give the same deltas.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from typing import Iterable, Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+
+import numpy as np
 
 from repro.kgsl.sampler import (
     IDLE,
@@ -28,6 +36,7 @@ from repro.kgsl.sampler import (
     PerfCounterSampler,
     SystemLoad,
     masked_delta,
+    nonzero_block_deltas,
     nonzero_deltas_vectorized,
 )
 from repro.gpu import counters as pc
@@ -67,8 +76,8 @@ class SamplerDeltaSource:
         t0, t1: sampling window.
         load: concurrent CPU/GPU load during the window.
         chunk: reads pulled per step.  ``1`` differences sample pairs
-            incrementally; larger values batch reads through the
-            vectorized extractor.
+            incrementally; larger values difference blocks of reads at
+            once (see the module docstring for the two block routes).
         gap_factor: a delta spanning more than ``gap_factor`` nominal
             sampling intervals is flagged ``gap=True`` (reads between
             its endpoints were dropped or deferred).
@@ -115,8 +124,11 @@ class SamplerDeltaSource:
         return self.sampler.reads_issued
 
     def events(self) -> Iterator[SourceEvent]:
-        ticks = self.sampler.iter_samples(self.t0, self.t1, load=self.load)
         try:
+            if self.chunk > 1 and self.sampler.reads_in_blocks:
+                yield from self._blocks()
+                return
+            ticks = self.sampler.iter_samples(self.t0, self.t1, load=self.load)
             if self.chunk == 1:
                 yield from self._incremental(ticks)
             else:
@@ -171,3 +183,27 @@ class SamplerDeltaSource:
                 self.deltas_emitted += 1
                 yield (delta.t, delta)
             prev = batch[-1]
+
+    def _blocks(self) -> Iterator[SourceEvent]:
+        blocks = self.sampler.iter_blocks(
+            self.t0, self.t1, load=self.load, chunk=self.chunk
+        )
+        gap_s = self.gap_factor * self.sampler.interval_s
+        times = values = None
+        for block in blocks:
+            if len(block.t) == 0:
+                continue
+            with self.metrics.span("source.extract"):
+                if times is None:
+                    times, values = block.t, block.values
+                else:
+                    # the last read of the previous block opens this one
+                    times = np.concatenate([times[-1:], block.t])
+                    values = np.concatenate([values[-1:], block.values])
+                extracted = nonzero_block_deltas(
+                    block.counter_ids, times, values, gap_s=gap_s
+                )
+            for delta in extracted:
+                self.gaps_detected += delta.gap
+                self.deltas_emitted += 1
+                yield (delta.t, delta)

@@ -2,6 +2,7 @@
 
 import errno
 
+import numpy as np
 import pytest
 
 from repro.gpu import counters as pc
@@ -158,6 +159,95 @@ class TestDeviceFileSemantics:
         values = {(s.groupid, s.countable): s.value for s in req.reads}
         assert values[(KGSL_PERFCOUNTER_GROUP_LRZ, 14)] == 50
         assert values[(KGSL_PERFCOUNTER_GROUP_RAS, 5)] == 0
+
+
+class RecordingPolicy:
+    """A read hook that logs every call and bumps each value by one."""
+
+    def __init__(self):
+        self.calls = []
+
+    def check(self, **kwargs):
+        self.calls.append(("check", kwargs["operation"], kwargs["countable"]))
+
+    def filter_value(self, **kwargs):
+        self.calls.append(("filter", kwargs["countable"], kwargs["now"]))
+        return kwargs["value"] + 1
+
+
+class TestReadBlock:
+    """``read_block`` means exactly ``n`` sequential ``PERFCOUNTER_READ``s."""
+
+    SLOTS = [(KGSL_PERFCOUNTER_GROUP_LRZ, 14), (KGSL_PERFCOUNTER_GROUP_RAS, 5)]
+    TIMES = [0.5, 1.0, 1.0004, 1.0004, 3.0]
+
+    @staticmethod
+    def device(**hooks):
+        timeline = timeline_with_increment(1234, t=1.0)
+        inc = pc.CounterIncrement()
+        inc.add(pc.RAS_8X4_TILES, 77)
+        timeline.add_render(0.9, FrameStats(increment=inc, pixels_touched=1, render_time_s=0.2))
+        dev = open_kgsl(timeline, clock=DeviceClock(), **hooks)
+        for group, countable in TestReadBlock.SLOTS:
+            reserve(dev, group, countable)
+        return dev
+
+    def sequential(self, dev, times):
+        rows = []
+        for t in times:
+            dev.clock.set(t)
+            req = KgslPerfcounterRead(
+                reads=[KgslPerfcounterReadGroup(groupid=g, countable=c) for g, c in self.SLOTS]
+            )
+            dev.ioctl(IOCTL_KGSL_PERFCOUNTER_READ, req)
+            rows.append([slot.value for slot in req.reads])
+        return rows
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_matches_sequential_reads(self, hooked):
+        hooks = (lambda: {"access_policy": RecordingPolicy()}) if hooked else dict
+        one, bulk = self.device(**hooks()), self.device(**hooks())
+        expected = self.sequential(one, self.TIMES)
+        got = bulk.read_block(self.SLOTS, self.TIMES)
+        assert got.dtype == np.int64 and got.tolist() == expected
+        assert (bulk.ioctl_count, bulk.clock.now) == (one.ioctl_count, one.clock.now)
+        if hooked:
+            assert bulk.access_policy.calls == one.access_policy.calls
+
+    def test_unmodeled_counter_reads_zero(self):
+        dev = self.device()
+        reserve(dev, KGSL_PERFCOUNTER_GROUP_VPC, 99)
+        got = dev.read_block([(KGSL_PERFCOUNTER_GROUP_VPC, 99)] + self.SLOTS, [2.0])
+        assert got.tolist() == [[0, 1234, 77]]
+
+    def test_no_reads_changes_nothing(self):
+        dev = self.device()
+        count = dev.ioctl_count
+        assert dev.read_block(self.SLOTS, []).shape == (0, 2)
+        assert (dev.ioctl_count, dev.clock.now) == (count, 0.0)
+
+    def test_closed_fd_is_ebadf(self):
+        dev = self.device()
+        count = dev.ioctl_count
+        dev.close()
+        with pytest.raises(IoctlError) as exc:
+            dev.read_block(self.SLOTS, self.TIMES)
+        assert exc.value.errno == errno.EBADF
+        assert dev.ioctl_count == count
+
+    @pytest.mark.parametrize("slots", [[], [(KGSL_PERFCOUNTER_GROUP_VPC, 9)]])
+    def test_empty_or_unreserved_read_is_einval_on_first_read(self, slots):
+        dev = self.device()
+        count = dev.ioctl_count
+        with pytest.raises(IoctlError) as exc:
+            dev.read_block(slots, self.TIMES)
+        assert exc.value.errno == errno.EINVAL
+        assert (dev.ioctl_count, dev.clock.now) == (count + 1, self.TIMES[0])
+
+    def test_clock_cannot_go_backwards(self):
+        dev = self.device()
+        with pytest.raises(ValueError):
+            dev.read_block(self.SLOTS, [2.0, 1.0])
 
 
 class TestDeviceClock:

@@ -7,9 +7,15 @@ from repro.android.apps import app
 from repro.android.device import VictimDevice
 from repro.android.events import KeyPress
 from repro.android.os_config import default_config
-from repro.core.offline import OfflineTrainer, TrainingData, frame_to_class_label, label_samples
+from repro.core.offline import (
+    OfflineTrainer,
+    TrainingData,
+    frame_to_class_label,
+    label_deltas,
+    label_samples,
+)
 from repro.kgsl.device_file import DeviceClock, open_kgsl
-from repro.kgsl.sampler import PerfCounterSampler
+from repro.kgsl.sampler import PerfCounterSampler, nonzero_block_deltas
 
 
 class TestFrameLabelMapping:
@@ -81,6 +87,59 @@ class TestLabelSamples:
         a.merge(b)
         assert a.counts() == {"key:a": 2, "key:b": 1}
         assert a.discarded_windows == 2
+
+
+def assert_same_training_data(a: TrainingData, b: TrainingData) -> None:
+    assert (a.clean_windows, a.discarded_windows) == (b.clean_windows, b.discarded_windows)
+    assert list(a.vectors_by_label) == list(b.vectors_by_label)
+    for label, vectors in a.vectors_by_label.items():
+        assert np.array_equal(np.stack(vectors), np.stack(b.vectors_by_label[label])), label
+
+
+def per_read_session(self, events, end_time_s, data):
+    """``OfflineTrainer._run_session`` on the per-read path: the oracle."""
+    device = VictimDevice(self.config, self.app, rng=self.rng)
+    trace = device.compile(events, end_time_s=end_time_s)
+    kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
+    sampler = PerfCounterSampler(kgsl, interval_s=self.interval_s, rng=self.rng)
+    label_samples(trace.timeline, sampler.sample_range(0.0, end_time_s), data)
+
+
+class TestBlockLabeling:
+    """Labeling from one bulk read equals labeling the per-read samples."""
+
+    def test_block_labels_equal_label_samples(self, config):
+        device = VictimDevice(config, app("chase"), rng=np.random.default_rng(3))
+        events = [KeyPress(t=0.4 + 0.13 * i, char="wnq@"[i % 4]) for i in range(24)]
+        trace = device.compile(events, end_time_s=4.0)
+
+        def sampler():
+            kgsl = open_kgsl(trace.timeline, clock=DeviceClock())
+            return PerfCounterSampler(kgsl, rng=np.random.default_rng(5))
+
+        scalar = TrainingData()
+        label_samples(trace.timeline, sampler().sample_range(0.0, 4.0), scalar)
+        block = sampler().sample_block(0.0, 4.0)
+        blocked = TrainingData()
+        label_deltas(
+            trace.timeline,
+            nonzero_block_deltas(block.counter_ids, block.t, block.values),
+            blocked,
+        )
+        assert scalar.clean_windows > 0 and scalar.discarded_windows > 0
+        assert_same_training_data(blocked, scalar)
+
+    def test_trained_model_equals_per_read_training(self, config, monkeypatch):
+        def train():
+            trainer = OfflineTrainer(config, app("chase"), rng=np.random.default_rng(7))
+            data = trainer.collect(sweep_repeats=1)
+            return data, trainer.train(data=data)
+
+        data, model = train()
+        monkeypatch.setattr(OfflineTrainer, "_run_session", per_read_session)
+        oracle_data, oracle_model = train()
+        assert_same_training_data(data, oracle_data)
+        assert model.to_dict() == oracle_model.to_dict()
 
 
 class TestTrainer:

@@ -15,8 +15,11 @@ from repro.kgsl.sampler import (
     PowerModel,
     SystemLoad,
     deltas,
+    nonzero_block_deltas,
     nonzero_deltas,
+    nonzero_deltas_vectorized,
 )
+from repro.runtime.source import SamplerDeltaSource
 
 
 def timeline_with_frames(times, amount=100, render_time=0.0005):
@@ -212,3 +215,88 @@ class TestPowerModel:
         fast = model.extra_consumption_percent(3600.0, interval_s=0.004)
         slow = model.extra_consumption_percent(3600.0, interval_s=0.012)
         assert fast > slow
+
+
+class TestBlockReads:
+    """The block path reads, schedules and counts like the per-read loop."""
+
+    LOADS = (IDLE, SystemLoad(cpu_utilization=0.95, gpu_utilization=0.5))
+
+    @staticmethod
+    def busy_timeline():
+        # renders long enough that many reads land mid-frame (split reads)
+        timeline = RenderTimeline()
+        for i in range(120):
+            inc = pc.CounterIncrement()
+            inc.add(pc.RAS_8X4_TILES, 97 + i)
+            inc.add(pc.LRZ_FULL_8X8_TILES, 13 * i)
+            timeline.add_render(
+                0.037 * i, FrameStats(increment=inc, pixels_touched=1, render_time_s=0.011)
+            )
+        return timeline
+
+    @staticmethod
+    def state(sampler):
+        dev = sampler.device_file
+        return (sampler.reads_issued, sampler.reads_dropped, dev.clock.now, dev.ioctl_count)
+
+    @pytest.mark.parametrize("load", LOADS)
+    @pytest.mark.parametrize("chunk", [1, 5, 64, 10_000])
+    def test_blocks_match_iter_samples(self, load, chunk):
+        scalar = make_sampler(self.busy_timeline(), seed=11)
+        expected = nonzero_deltas_vectorized(scalar.sample_range(0.0, 4.5, load=load))
+        block = make_sampler(self.busy_timeline(), seed=11)
+        assert block.reads_in_blocks
+        blocks = list(block.iter_blocks(0.0, 4.5, load=load, chunk=chunk))
+        assert all(len(b.t) <= chunk for b in blocks)
+        times = np.concatenate([b.t for b in blocks])
+        values = np.concatenate([b.values for b in blocks])
+        got = nonzero_block_deltas(blocks[0].counter_ids, times, values)
+        assert got == expected and len(got) > 20
+        assert self.state(block) == self.state(scalar)
+        if load is not IDLE:
+            assert block.reads_dropped > 0
+
+    def test_sample_block_is_sample_range(self):
+        scalar = make_sampler(self.busy_timeline(), seed=4)
+        samples = scalar.sample_range(0.0, 3.0)
+        block = make_sampler(self.busy_timeline(), seed=4).sample_block(0.0, 3.0)
+        assert block.t.tolist() == [s.t for s in samples]
+        assert block.values.tolist() == [
+            [s.values[cid] for cid in block.counter_ids] for s in samples
+        ]
+
+    def test_empty_range_gives_one_empty_block(self):
+        sampler = make_sampler(self.busy_timeline())
+        block = sampler.sample_block(1.0, 1.0)
+        assert block.values.shape == (0, len(pc.SELECTED_COUNTERS))
+        assert sampler.reads_issued == 0
+
+    @pytest.mark.parametrize("load", LOADS)
+    @pytest.mark.parametrize("chunk", [2, 64])
+    def test_source_blocks_match_fallback(self, monkeypatch, load, chunk):
+        def run(blocks_allowed):
+            with monkeypatch.context() as patch:
+                if not blocks_allowed:
+                    patch.setattr(PerfCounterSampler, "reads_in_blocks", False)
+                sampler = make_sampler(self.busy_timeline(), seed=23)
+                source = SamplerDeltaSource(sampler, 0.0, 4.5, load=load, chunk=chunk)
+                events = list(source.events())
+            return events, source.deltas_emitted, source.gaps_detected, self.state(sampler)
+
+        assert run(True) == run(False)
+
+    def test_hooks_select_the_per_read_path(self):
+        dev = open_kgsl(self.busy_timeline(), clock=DeviceClock(), drift_injector=object())
+        sampler = PerfCounterSampler(dev, rng=np.random.default_rng(0))
+        assert not sampler.reads_in_blocks
+        with pytest.raises(RuntimeError):
+            next(sampler.iter_blocks(0.0, 1.0))
+        sampler = make_sampler(self.busy_timeline())
+        sampler.fault_injector = object()
+        assert not sampler.reads_in_blocks
+
+    def test_lost_counter_selects_the_per_read_path(self):
+        sampler = make_sampler(self.busy_timeline())
+        sampler._lose(pc.RAS_8X4_TILES)
+        assert not sampler.reads_in_blocks

@@ -1,5 +1,6 @@
 """Tests for the render timeline and split-read mechanics."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,21 @@ class TestQueries:
         assert timeline.busy_fraction(0.0, 1.0) == pytest.approx(0.5)
         assert timeline.busy_fraction(2.0, 3.0) == 0.0
 
+    def test_busy_fraction_sees_in_flight_frame_on_first_call(self):
+        # the in-flight window must come from a fresh index, not from the
+        # max duration of the timeline before this frame was added
+        timeline = RenderTimeline()
+        timeline.add_render(0.0, make_stats(1, render_time=1.0))
+        assert timeline.busy_fraction(0.5, 1.0) == 1.0
+        assert timeline.busy_fraction(0.5, 1.0) == 1.0
+
+    def test_busy_fraction_after_extending_timeline(self):
+        timeline = RenderTimeline()
+        timeline.add_render(0.0, make_stats(1, render_time=0.01))
+        assert timeline.busy_fraction(0.5, 1.0) == 0.0
+        timeline.add_render(0.2, make_stats(1, render_time=1.0))
+        assert timeline.busy_fraction(0.5, 1.0) == 1.0
+
     def test_busy_fraction_capped_at_one(self):
         timeline = RenderTimeline()
         timeline.add_render(0.0, make_stats(1, render_time=1.0))
@@ -134,3 +150,75 @@ class TestQueries:
         merged = merge_timelines([a, b])
         assert merged.values_at(2.0)[CID] == 15
         assert [f.start_s for f in merged.frames] == [0.5, 1.0]
+
+
+_SPECS = (pc.LRZ_FULL_8X8_TILES, pc.RAS_8X4_TILES, pc.VPC_PC_PRIMITIVES)
+
+
+def stacked_values_at(timeline, ts):
+    """The scalar oracle: one values_at per time, in COUNTER_ORDER columns."""
+    rows = [[timeline.values_at(t)[cid] for cid in COUNTER_ORDER] for t in ts]
+    return np.array(rows, dtype=np.int64).reshape(len(ts), len(COUNTER_ORDER))
+
+
+def multi_counter_stats(amounts, render_time):
+    inc = pc.CounterIncrement()
+    for spec, amount in zip(_SPECS, amounts):
+        inc.add(spec, amount)
+    return FrameStats(increment=inc, pixels_touched=1, render_time_s=render_time)
+
+
+#: starts on a coarse grid collide and meet other frames' ends exactly
+_START = st.one_of(st.floats(0.0, 1.0), st.integers(0, 40).map(lambda i: i * 0.0025))
+_DURATION = st.one_of(
+    st.just(0.0), st.floats(0.0, 0.05), st.integers(1, 8).map(lambda i: i * 0.0025)
+)
+_AMOUNTS = st.tuples(*[st.integers(0, 10**9)] * len(_SPECS))
+
+
+class TestValuesAtMany:
+    """``values_at_many`` is ``values_at`` stacked, bit for bit."""
+
+    @given(
+        frames=st.lists(st.tuples(_START, _DURATION, _AMOUNTS), max_size=25),
+        extra=st.lists(st.floats(-0.5, 1.5), max_size=20),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_stacked_values_at(self, frames, extra):
+        timeline = RenderTimeline()
+        for start, duration, amounts in frames:  # in drawn order: unsorted
+            timeline.add_render(start, multi_counter_stats(amounts, duration))
+        ts = [-1.0] + extra
+        for start, duration, _ in frames:
+            ts += [start, start + duration, start + duration / 2]
+        # queried first, so it must build the index itself
+        many = timeline.values_at_many(ts)
+        assert many.dtype == np.int64
+        assert np.array_equal(many, stacked_values_at(timeline, ts))
+
+    def test_empty_timeline(self):
+        timeline = RenderTimeline()
+        assert np.array_equal(timeline.values_at_many([0.0, 1.0]), np.zeros((2, 11)))
+        assert timeline.values_at_many([]).shape == (0, len(COUNTER_ORDER))
+
+    def test_half_way_rounds_half_to_even(self):
+        timeline = RenderTimeline()
+        timeline.add_render(1.0, multi_counter_stats((1, 3, 5), render_time=0.5))
+        ts = [1.25]  # progress 0.5: 0.5 -> 0, 1.5 -> 2, 2.5 -> 2
+        assert np.array_equal(timeline.values_at_many(ts), stacked_values_at(timeline, ts))
+        row = timeline.values_at_many(ts)[0]
+        assert [row[COUNTER_ORDER.index(s.counter_id)] for s in _SPECS] == [0, 2, 2]
+
+    def test_zero_duration_frame_at_its_start(self):
+        timeline = RenderTimeline()
+        timeline.add_render(1.0, multi_counter_stats((7, 0, 0), render_time=0.0))
+        ts = [1.0, 1.0 + 1e-12]
+        assert np.array_equal(timeline.values_at_many(ts), stacked_values_at(timeline, ts))
+
+    def test_follows_frames_added_after_a_query(self):
+        timeline = RenderTimeline()
+        timeline.add_render(1.0, multi_counter_stats((10, 0, 0), render_time=0.01))
+        timeline.values_at_many([2.0])
+        timeline.add_render(0.5, multi_counter_stats((0, 4, 0), render_time=1.0))
+        ts = [0.75, 1.005, 2.0]
+        assert np.array_equal(timeline.values_at_many(ts), stacked_values_at(timeline, ts))
